@@ -54,13 +54,18 @@ void BM_SchedulerCancel(benchmark::State& state) {
 BENCHMARK(BM_SchedulerCancel);
 
 void BM_DropTailEnqueueDequeue(benchmark::State& state) {
+  const ShardGuard guard;
+  net::PacketPool pool;
   net::DropTailQueue q(256);
+  q.attach(pool);
   std::uint64_t ops = 0;
   for (auto _ : state) {
     net::Packet p;
     p.size_bytes = 1500;
-    q.enqueue(std::move(p), Time::zero());
-    benchmark::DoNotOptimize(q.dequeue(Time::zero()));
+    q.enqueue(pool.acquire(std::move(p)), Time::zero());
+    const net::PacketPool::SlotId slot = q.dequeue(Time::zero());
+    benchmark::DoNotOptimize(slot);
+    pool.discard(slot);
     ++ops;
   }
   state.SetItemsProcessed(static_cast<int64_t>(ops));

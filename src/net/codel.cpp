@@ -9,14 +9,13 @@ namespace qoesim::net {
 CoDelQueue::CoDelQueue(std::size_t capacity_packets, CoDelParams params)
     : QueueDiscipline(capacity_packets), params_(params) {}
 
-QOESIM_HOT bool CoDelQueue::do_enqueue(Packet&& p, Time /*now*/) {
+QOESIM_HOT bool CoDelQueue::do_enqueue(SlotId slot, Time /*now*/) {
   if (q_.size() >= capacity_) {
-    count_drop(p);
+    drop(slot);
     return false;
   }
-  bytes_ += p.size_bytes;
-  // qoesim-lint: allow(hot-alloc) -- capacity_-bounded deque; blocks recycled in steady state
-  q_.push_back(std::move(p));
+  bytes_ += packet(slot).size_bytes;
+  q_.push(slot);
   return true;
 }
 
@@ -27,14 +26,15 @@ Time CoDelQueue::control_law(Time t) const {
   return t + params_.interval / std::sqrt(count);
 }
 
-std::optional<Packet> CoDelQueue::pop_head(Time now, bool& ok_sojourn) {
+CoDelQueue::SlotId CoDelQueue::pop_head(Time now, bool& ok_sojourn) {
   if (q_.empty()) {
     first_above_time_ = Time::zero();
     ok_sojourn = true;
-    return std::nullopt;
+    return PacketPool::kNil;
   }
-  Packet p = std::move(q_.front());
-  q_.pop_front();
+  const SlotId slot = q_.front();
+  q_.pop();
+  const Packet& p = packet(slot);
   bytes_ -= p.size_bytes;
 
   const Time sojourn = now - p.enqueued_at;
@@ -49,15 +49,15 @@ std::optional<Packet> CoDelQueue::pop_head(Time now, bool& ok_sojourn) {
       ok_sojourn = now < first_above_time_;
     }
   }
-  return p;
+  return slot;
 }
 
-QOESIM_HOT std::optional<Packet> CoDelQueue::do_dequeue(Time now) {
+QOESIM_HOT CoDelQueue::SlotId CoDelQueue::do_dequeue(Time now) {
   bool ok = true;
-  auto p = pop_head(now, ok);
-  if (!p) {
+  SlotId slot = pop_head(now, ok);
+  if (slot == PacketPool::kNil) {
     dropping_ = false;
-    return std::nullopt;
+    return PacketPool::kNil;
   }
 
   if (dropping_) {
@@ -68,18 +68,18 @@ QOESIM_HOT std::optional<Packet> CoDelQueue::do_dequeue(Time now) {
         // RFC 8289 §4.2: with ECN, CE-mark the packet the control law
         // would drop and deliver it; the dropping state and its schedule
         // advance exactly as if it had been dropped.
-        if (can_mark(*p)) {
-          apply_mark(*p);
+        if (can_mark(packet(slot))) {
+          apply_mark(packet(slot));
           ++drop_count_;
           drop_next_ = control_law(drop_next_);
-          return p;
+          return slot;
         }
-        count_drop(*p);
+        drop(slot);
         ++drop_count_;
-        p = pop_head(now, ok);
-        if (!p) {
+        slot = pop_head(now, ok);
+        if (slot == PacketPool::kNil) {
           dropping_ = false;
-          return std::nullopt;
+          return PacketPool::kNil;
         }
         if (ok) {
           dropping_ = false;
@@ -92,11 +92,11 @@ QOESIM_HOT std::optional<Packet> CoDelQueue::do_dequeue(Time now) {
     // Sojourn has been above target for a full interval: enter dropping
     // state, drop (or CE-mark) this packet, and deliver the next (the
     // marked packet itself when marking).
-    const bool mark = can_mark(*p);
+    const bool mark = can_mark(packet(slot));
     if (mark) {
-      apply_mark(*p);
+      apply_mark(packet(slot));
     } else {
-      count_drop(*p);
+      drop(slot);
     }
     dropping_ = true;
     // RFC 8289 §4.3 hysteresis: on a quick re-entry (less than 16
@@ -112,15 +112,15 @@ QOESIM_HOT std::optional<Packet> CoDelQueue::do_dequeue(Time now) {
     }
     drop_next_ = control_law(now);
     last_drop_count_ = drop_count_;
-    if (mark) return p;  // the marked head is delivered, not replaced
+    if (mark) return slot;  // the marked head is delivered, not replaced
     bool ok2 = true;
-    p = pop_head(now, ok2);
-    if (!p) {
+    slot = pop_head(now, ok2);
+    if (slot == PacketPool::kNil) {
       dropping_ = false;
-      return std::nullopt;
+      return PacketPool::kNil;
     }
   }
-  return p;
+  return slot;
 }
 
 }  // namespace qoesim::net

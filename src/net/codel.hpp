@@ -8,9 +8,8 @@
 // rate (§4.3 hysteresis) instead of restarting at one drop per interval.
 #pragma once
 
-#include <deque>
-
 #include "net/queue.hpp"
+#include "net/ring.hpp"
 
 namespace qoesim::net {
 
@@ -32,16 +31,17 @@ class CoDelQueue final : public QueueDiscipline {
   std::uint32_t drop_count() const { return drop_count_; }
 
  protected:
-  bool do_enqueue(Packet&& p, Time now) override;
-  std::optional<Packet> do_dequeue(Time now) override;
+  bool do_enqueue(SlotId slot, Time now) override;
+  SlotId do_dequeue(Time now) override;
 
  private:
-  /// Pop the head and check whether its sojourn is below target.
-  std::optional<Packet> pop_head(Time now, bool& ok_sojourn);
+  /// Pop the head (kNil if empty) and check whether its sojourn is below
+  /// target.
+  SlotId pop_head(Time now, bool& ok_sojourn);
   Time control_law(Time t) const;
 
   CoDelParams params_;
-  std::deque<Packet> q_;
+  Ring<SlotId> q_;
   std::size_t bytes_ = 0;
 
   Time first_above_time_ = Time::zero();  // when sojourn first exceeded target

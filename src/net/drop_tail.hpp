@@ -1,13 +1,16 @@
 // qoesim -- drop-tail FIFO queue, the discipline used throughout the paper.
 // Capacity is counted in packets, matching the NetFPGA reference router and
 // the Cisco linecard configuration of the testbeds (Table 2).
+//
+// The buffer is a Ring of PacketPool slot ids (the packets themselves stay
+// in the attached link's pool; see queue.hpp): an arrival to a full buffer
+// returns its slot to the pool, an admitted one pushes its 4-byte id.
 #pragma once
-
-#include <deque>
 
 #include "sim/annotations.hpp"
 
 #include "net/queue.hpp"
+#include "net/ring.hpp"
 
 namespace qoesim::net {
 
@@ -21,27 +24,26 @@ class DropTailQueue final : public QueueDiscipline {
   std::string name() const override { return "DropTail"; }
 
  protected:
-  QOESIM_HOT bool do_enqueue(Packet&& p, Time /*now*/) override {
+  QOESIM_HOT bool do_enqueue(SlotId slot, Time /*now*/) override {
     if (q_.size() >= capacity_) {
-      count_drop(p);
+      drop(slot);
       return false;
     }
-    bytes_ += p.size_bytes;
-    // qoesim-lint: allow(hot-alloc) -- capacity_-bounded deque; blocks recycled in steady state
-    q_.push_back(std::move(p));
+    bytes_ += packet(slot).size_bytes;
+    q_.push(slot);
     return true;
   }
 
-  QOESIM_HOT std::optional<Packet> do_dequeue(Time /*now*/) override {
-    if (q_.empty()) return std::nullopt;
-    Packet p = std::move(q_.front());
-    q_.pop_front();
-    bytes_ -= p.size_bytes;
-    return p;
+  QOESIM_HOT SlotId do_dequeue(Time /*now*/) override {
+    if (q_.empty()) return PacketPool::kNil;
+    const SlotId slot = q_.front();
+    q_.pop();
+    bytes_ -= packet(slot).size_bytes;
+    return slot;
   }
 
  private:
-  std::deque<Packet> q_;
+  Ring<SlotId> q_;
   std::size_t bytes_ = 0;
 };
 

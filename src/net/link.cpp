@@ -17,26 +17,28 @@ Link::Link(Simulation& sim, std::string name, double rate_bps, Time prop_delay,
       queue_(std::move(queue)) {
   if (rate_bps_ <= 0.0) throw std::invalid_argument("Link: rate must be > 0");
   if (!queue_) throw std::invalid_argument("Link: queue required");
+  queue_->attach(pool_);
   queue_->set_drain_rate(rate_bps_);
 }
 
 QOESIM_HOT void Link::send(Packet&& p) {
   sim_.shard().assert_held();
-  queue_->enqueue(std::move(p), sim_.now());
+  // The packet's only copy into the link: from here on the queue, the tx
+  // event and the wire ring refer to it by slot id.
+  queue_->enqueue(pool_.acquire(std::move(p)), sim_.now());
   maybe_start_tx();
 }
 
 QOESIM_HOT void Link::maybe_start_tx() {
   if (busy_) return;
-  auto next = queue_->dequeue(sim_.now());
-  if (!next) return;
+  const PacketPool::SlotId slot = queue_->dequeue(sim_.now());
+  if (slot == PacketPool::kNil) return;
   busy_ = true;
-  queue_delay_.add((sim_.now() - next->enqueued_at).sec());
-  const Time tx = serialization_time(next->size_bytes);
-  // The packet moves into a pooled slot; the completion event captures only
+  const Packet& p = pool_.at(slot);
+  queue_delay_.add((sim_.now() - p.enqueued_at).sec());
+  // The packet serializes in place; the completion event captures only
   // {this, slot}, which stays inside SmallCallback's inline buffer.
-  const PacketPool::SlotId slot = pool_.acquire(std::move(*next));
-  sim_.after(tx, [this, slot] {
+  sim_.after(serialization_time(p.size_bytes), [this, slot] {
     sim_.shard().assert_held();  // event fires inside the owning epoch
     on_tx_complete(slot);
   });
@@ -67,12 +69,12 @@ QOESIM_HOT void Link::on_tx_complete(PacketPool::SlotId slot) {
                 sim_.now() + prop_delay_});
     if (was_idle) arm_delivery(wire_.front());
   } else {
-    (void)pool_.release(slot);
+    pool_.discard(slot);
   }
   maybe_start_tx();
 }
 
-QOESIM_HOT void Link::arm_delivery(const WireRing::Entry& entry) {
+QOESIM_HOT void Link::arm_delivery(const WireEntry& entry) {
   // Always a fresh schedule: when called from inside drain_wire the old
   // event has just fired, so this reuses the just-freed arena slot (the
   // same pooled re-arm idiom as the periodic app timers) -- a fired event
@@ -92,9 +94,13 @@ QOESIM_HOT void Link::drain_wire() {
   // position among same-timestamp events.
   const PacketPool::SlotId slot = wire_.front().slot;
   wire_.pop();
-  Packet p = pool_.release(slot);
+  // The sink takes the packet straight out of its slot, which is freed
+  // only afterwards: a sink that reenters send() on this link gets a
+  // different slot, and the reference stays valid across that acquire().
+  Packet& p = pool_.at(slot);
   for (const auto& observer : rx_observers_) observer(p, sim_.now());
   if (sink_) sink_(std::move(p));
+  pool_.discard(slot);
   if (!wire_.empty()) arm_delivery(wire_.front());
 }
 

@@ -6,11 +6,15 @@
 // completes. This is where all queueing delay and packet loss in the
 // simulated testbeds arise (the paper's "bottleneck interface").
 //
-// In-flight packets (serializing or propagating) live in a per-link
-// PacketPool and are referenced by slot id from scheduler callbacks, so
-// steady-state forwarding performs no heap allocation. Packets on the wire
-// wait in a WireRing drained by a single delivery event per link instead of
-// one propagation event per packet (see packet_pool.hpp).
+// A packet lives in the link's PacketPool from send() until delivery:
+// send() admits it once, the queue discipline holds its slot id while it
+// waits in the buffer, the tx-complete event captures {this, slot} while
+// it serializes (a trivially copyable capture the scheduler moves with
+// memcpy; see sim/callback.hpp), and the WireRing holds the slot while it
+// propagates. Steady-state forwarding therefore performs no heap
+// allocation and copies each packet once into the pool and once out of
+// it. Packets on the wire are drained by a single delivery event per link
+// instead of one propagation event per packet (see packet_pool.hpp).
 #pragma once
 
 #include <cstdint>
@@ -66,9 +70,6 @@ class QOESIM_SHARD_PLANE Link {
   void add_rx_observer(TxObserver obs) {
     rx_observers_.push_back(std::move(obs));
   }
-  [[deprecated("use add_tx_observer")]] void set_tx_observer(TxObserver obs) {
-    add_tx_observer(std::move(obs));
-  }
 
   /// Offer a packet for transmission (enqueue; may drop).
   void send(Packet&& p);
@@ -91,7 +92,8 @@ class QOESIM_SHARD_PLANE Link {
   /// Per-packet time spent waiting in the buffer (excludes serialization).
   const stats::RunningStats& queue_delay() const { return queue_delay_; }
 
-  /// In-flight pool counters (for the zero-allocation forwarding tests).
+  /// Pool counters over queued and in-flight packets (for the
+  /// zero-allocation forwarding tests).
   const PacketPool::Stats& pool_stats() const { return pool_.stats(); }
   /// Packets currently riding the propagation delay.
   std::size_t wire_depth() const { return wire_.size(); }
@@ -99,7 +101,7 @@ class QOESIM_SHARD_PLANE Link {
  private:
   void maybe_start_tx() QOESIM_REQUIRES_SHARD;
   void on_tx_complete(PacketPool::SlotId slot) QOESIM_REQUIRES_SHARD;
-  void arm_delivery(const WireRing::Entry& entry) QOESIM_REQUIRES_SHARD;
+  void arm_delivery(const WireEntry& entry) QOESIM_REQUIRES_SHARD;
   void drain_wire() QOESIM_REQUIRES_SHARD;
 
   Simulation& sim_;
@@ -112,7 +114,7 @@ class QOESIM_SHARD_PLANE Link {
   std::vector<TxObserver> tx_observers_;
   std::vector<TxObserver> rx_observers_;
 
-  PacketPool pool_;  // packets serializing or on the wire
+  PacketPool pool_;  // packets queued, serializing or on the wire
   WireRing wire_;    // FIFO of propagating packets
 
   bool busy_ = false;

@@ -8,21 +8,8 @@
 namespace qoesim::net {
 
 void MailboxInbox::admit(Time when, std::uint64_t seq, Packet&& p) {
-  if (size_ == buf_.size()) {
-    // Grow to the next power of two, unrolling the ring so the live
-    // entries occupy [0, size_) -- same idiom as WireRing::push, with
-    // moves because entries carry a Packet.
-    // qoesim-lint: allow(hot-alloc) -- geometric ring growth; free once the ring fits the barrier batch
-    std::vector<Entry> bigger(buf_.empty() ? 8 : buf_.size() * 2);
-    for (std::size_t i = 0; i < size_; ++i)
-      bigger[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
-    buf_ = std::move(bigger);
-    head_ = 0;
-  }
-  const bool was_idle = size_ == 0;
-  buf_[(head_ + size_) & (buf_.size() - 1)] =
-      Entry{when, seq, std::move(p)};
-  ++size_;
+  const bool was_idle = ring_.empty();
+  ring_.push(Entry{when, seq, std::move(p)});
   if (was_idle) arm(when, seq);
 }
 
@@ -37,13 +24,11 @@ void MailboxInbox::arm(Time when, std::uint64_t seq) {
 }
 
 QOESIM_HOT void MailboxInbox::deliver_front() {
-  Entry& front = buf_[head_];
-  Packet p = std::move(front.packet);
-  head_ = (head_ + 1) & (buf_.size() - 1);
-  --size_;
+  Packet p = std::move(ring_.front().packet);
+  ring_.pop();
   dest_.receive(std::move(p));
-  if (size_ != 0) {
-    const Entry& next = buf_[head_];
+  if (!ring_.empty()) {
+    const Entry& next = ring_.front();
     arm(next.when, next.seq);
   }
 }

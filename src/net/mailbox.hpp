@@ -28,6 +28,7 @@
 
 #include "core/annotations.hpp"
 #include "net/packet.hpp"
+#include "net/ring.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 
@@ -104,7 +105,7 @@ class QOESIM_SHARD_PLANE MailboxInbox {
   void admit(Time when, std::uint64_t seq, Packet&& p) QOESIM_REQUIRES_SHARD;
 
   /// Records admitted but not yet delivered.
-  std::size_t depth() const { return size_; }
+  std::size_t depth() const { return ring_.size(); }
 
  private:
   struct Entry {
@@ -118,9 +119,7 @@ class QOESIM_SHARD_PLANE MailboxInbox {
 
   Simulation& sim_;
   Node& dest_;
-  std::vector<Entry> buf_;  // power-of-two ring, grown geometrically
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  Ring<Entry> ring_;
 };
 
 }  // namespace qoesim::net

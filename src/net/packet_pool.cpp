@@ -11,48 +11,40 @@ QOESIM_HOT PacketPool::SlotId PacketPool::acquire(Packet&& p) {
   ++stats_.acquired;
   stats_.peak_in_flight =
       std::max<std::uint64_t>(stats_.peak_in_flight, in_flight());
-  if (!free_.empty()) {
-    const SlotId slot = free_.back();
+  SlotId slot = kNil;
+  if (free_.empty()) {
+    slot = new_slot();
+  } else {
+    slot = free_.back();
     free_.pop_back();
-    slots_[slot] = std::move(p);
-    return slot;
   }
-  ++stats_.slab_growths;
-  const SlotId slot = static_cast<SlotId>(slots_.size());
-  // qoesim-lint: allow(hot-alloc) -- slab growth; free in steady state once the pool warms up
-  slots_.push_back(std::move(p));
-  // The free stack can hold at most one entry per slot; reserving alongside
-  // the slab keeps release() allocation-free.
-  // qoesim-lint: allow(hot-alloc) -- grows with the slab so release() below never reallocates
-  free_.reserve(slots_.size());
+  at(slot) = std::move(p);
   return slot;
 }
 
-QOESIM_HOT Packet PacketPool::release(SlotId slot) {
-  ++stats_.released;
-  // qoesim-lint: allow(hot-alloc) -- capacity reserved in acquire(); never reallocates
-  free_.push_back(slot);
-  return std::move(slots_[slot]);
-}
-
-QOESIM_HOT void WireRing::push(Entry e) {
-  if (size_ == buf_.size()) {
-    // Grow to the next power of two, unrolling the ring so the live
-    // entries occupy [0, size_).
-    // qoesim-lint: allow(hot-alloc) -- geometric ring growth; free once the ring fits the BDP
-    std::vector<Entry> bigger(buf_.empty() ? 8 : buf_.size() * 2);
-    for (std::size_t i = 0; i < size_; ++i)
-      bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-    buf_ = std::move(bigger);
-    head_ = 0;
+PacketPool::SlotId PacketPool::new_slot() {
+  ++stats_.slab_growths;
+  if ((slot_count_ & kBlockMask) == 0) {
+    // qoesim-lint: allow(hot-alloc) -- one block per 64 new slots; free in steady state once the pool holds its peak population
+    blocks_.push_back(std::make_unique<Packet[]>(std::size_t{kBlockMask} + 1));
+    // The free stack can hold at most one entry per slot; reserving a
+    // block's worth at a time keeps discard() allocation-free.
+    // qoesim-lint: allow(hot-alloc) -- grows with the slab so discard() below never reallocates
+    free_.reserve(blocks_.size() << kBlockBits);
   }
-  buf_[(head_ + size_) & (buf_.size() - 1)] = e;
-  ++size_;
+  return slot_count_++;
 }
 
-QOESIM_HOT void WireRing::pop() {
-  head_ = (head_ + 1) & (buf_.size() - 1);
-  --size_;
+QOESIM_HOT Packet PacketPool::release(SlotId slot) {
+  Packet p = std::move(at(slot));
+  discard(slot);
+  return p;
+}
+
+QOESIM_HOT void PacketPool::discard(SlotId slot) {
+  ++stats_.released;
+  // qoesim-lint: allow(hot-alloc) -- capacity reserved in new_slot(); never reallocates
+  free_.push_back(slot);
 }
 
 }  // namespace qoesim::net

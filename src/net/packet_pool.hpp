@@ -1,31 +1,38 @@
-// qoesim -- in-flight packet slab pool and wire ring.
+// qoesim -- per-link packet slab pool and wire ring.
 //
-// PacketPool holds the packets a link currently has "in flight" (one being
-// serialized plus any riding the propagation delay). Slots are recycled
-// through a free list, mirroring the scheduler's event arena: steady-state
-// forwarding performs zero heap allocations per packet, because a slot and
-// the scheduler events referencing it (by 4-byte SlotId, well inside
-// SmallCallback's inline buffer) are reused as soon as the packet is
-// delivered. The slab only grows when more packets are simultaneously in
-// flight than ever before on this link, which is bounded by
-// 1 + ceil(prop_delay / serialization_time) -- growth events are counted
-// in Stats::slab_growths so tests can assert the steady state allocates
-// nothing.
+// PacketPool is the only place a packet lives between Link::send and
+// delivery: Link::send admits the packet into a pooled slot once, and from
+// then on the queue discipline (while the packet waits in the buffer), the
+// tx-complete event (while it serializes) and the WireRing (while it
+// propagates) all refer to it by 4-byte SlotId. A packet is therefore
+// copied once into the pool and once out of it per hop, and a drop -- at
+// the tail or at dequeue -- just returns the slot.
 //
-// WireRing is the companion FIFO of (slot, deliver_at) entries for packets
-// that finished serialization and are propagating. Because a link's
-// propagation delay is constant and serialization completions are ordered,
-// deliver_at is non-decreasing, so one delivery event draining the ring
-// front replaces a scheduler event per packet.
+// Slots are recycled through a LIFO free list, mirroring the scheduler's
+// event arena, so steady-state forwarding performs zero heap allocations
+// per packet. The slab is a list of fixed-size blocks: a slot id maps to
+// its packet with a shift and a mask, and growth adds a block without
+// relocating existing slots. The slab only grows when more packets are
+// simultaneously queued or in flight than ever before on this link, which
+// is bounded by the buffer capacity plus 1 + ceil(prop_delay /
+// serialization_time); new slots are counted in Stats::slab_growths so
+// tests can assert the steady state allocates nothing.
+//
+// WireRing is the companion FIFO of (slot, seq, deliver_at) entries for
+// packets that finished serialization and are propagating. Because a
+// link's propagation delay is constant and serialization completions are
+// ordered, deliver_at is non-decreasing, so one delivery event draining
+// the ring front replaces a scheduler event per packet.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <vector>
 
 #include "core/annotations.hpp"
 #include "net/packet.hpp"
+#include "net/ring.hpp"
 #include "sim/time.hpp"
 
 namespace qoesim::net {
@@ -40,6 +47,7 @@ class QOESIM_SHARD_PLANE PacketPool {
 
   struct Stats {
     std::uint64_t acquired = 0;
+    /// Slots returned, by release() (delivered) or discard() (dropped).
     std::uint64_t released = 0;
     /// Number of times a new slot had to be created (the only operation
     /// that can touch the heap). Constant in steady state.
@@ -53,55 +61,49 @@ class QOESIM_SHARD_PLANE PacketPool {
   /// Move the packet out of `slot` and return the slot to the free list.
   Packet release(SlotId slot) QOESIM_REQUIRES_SHARD;
 
+  /// Return `slot` to the free list without reading its packet (drops).
+  void discard(SlotId slot) QOESIM_REQUIRES_SHARD;
+
   /// References returned here stay valid across acquire()/release(): the
-  /// slab is a deque, so growth never relocates existing slots. A Link
-  /// iterates its tx observers over such a reference while an observer
-  /// could reenter Link::send (and thus acquire()).
-  Packet& at(SlotId slot) QOESIM_REQUIRES_SHARD { return slots_[slot]; }
+  /// slab grows by whole blocks, so growth never relocates existing
+  /// slots. A Link hands its sink such a reference while the sink could
+  /// reenter Link::send (and thus acquire()).
+  Packet& at(SlotId slot) QOESIM_REQUIRES_SHARD {
+    return blocks_[slot >> kBlockBits][slot & kBlockMask];
+  }
   const Packet& at(SlotId slot) const QOESIM_REQUIRES_SHARD {
-    return slots_[slot];
+    return blocks_[slot >> kBlockBits][slot & kBlockMask];
   }
 
   std::size_t in_flight() const {
     return static_cast<std::size_t>(stats_.acquired - stats_.released);
   }
-  std::size_t slot_count() const { return slots_.size(); }
+  std::size_t slot_count() const { return slot_count_; }
   const Stats& stats() const { return stats_; }
 
  private:
-  std::deque<Packet> slots_;  // reference-stable slab (see at())
+  static constexpr unsigned kBlockBits = 6;  // 64 packets (~11 KB) a block
+  static constexpr SlotId kBlockMask = (SlotId{1} << kBlockBits) - 1;
+
+  SlotId new_slot() QOESIM_REQUIRES_SHARD;
+
+  std::vector<std::unique_ptr<Packet[]>> blocks_;  // reference-stable slab
   std::vector<SlotId> free_;  // stack of recycled slot ids
+  SlotId slot_count_ = 0;     // slots ever created
   Stats stats_;
 };
 
-/// FIFO ring buffer of packets on the wire. Capacity grows by doubling
-/// (never shrinks), so like the pool it stops allocating once the link has
-/// seen its peak in-flight population. Shard-plane like the pool: mutation
-/// requires the shard capability, const inspection does not.
-class QOESIM_SHARD_PLANE WireRing {
- public:
-  struct Entry {
-    PacketPool::SlotId slot = PacketPool::kNil;
-    /// FIFO position reserved (Scheduler::allocate_seq) when the packet
-    /// finished serialization: the delivery event fires with this seq, so
-    /// same-timestamp ties resolve exactly as if the packet had scheduled
-    /// its own propagation event there.
-    std::uint64_t seq = 0;
-    Time deliver_at;
-  };
-
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  const Entry& front() const { return buf_[head_]; }
-
-  void push(Entry e) QOESIM_REQUIRES_SHARD;
-  void pop() QOESIM_REQUIRES_SHARD;
-
- private:
-  std::vector<Entry> buf_;  // power-of-two capacity circular buffer
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+/// One propagating packet. `seq` is the FIFO position reserved
+/// (Scheduler::allocate_seq) when the packet finished serialization: the
+/// delivery event fires with this seq, so same-timestamp ties resolve
+/// exactly as if the packet had scheduled its own propagation event.
+struct WireEntry {
+  PacketPool::SlotId slot = PacketPool::kNil;
+  std::uint64_t seq = 0;
+  Time deliver_at;
 };
+
+/// FIFO of packets on the wire (see Ring for the growth policy).
+using WireRing = Ring<WireEntry>;
 
 }  // namespace qoesim::net

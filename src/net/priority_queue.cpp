@@ -25,42 +25,27 @@ PriorityQueue::PriorityQueue(std::size_t capacity_packets,
   low_capacity_ = capacity_packets - high_capacity_;
 }
 
-QOESIM_HOT bool PriorityQueue::do_enqueue(Packet&& p, Time /*now*/) {
-  if (is_high_priority(p)) {
-    if (high_.size() >= high_capacity_) {
-      ++high_drops_;
-      count_drop(p);
-      return false;
-    }
-    bytes_ += p.size_bytes;
-    // qoesim-lint: allow(hot-alloc) -- high_capacity_-bounded deque; blocks recycled in steady state
-    high_.push_back(std::move(p));
-    return true;
-  }
-  if (low_.size() >= low_capacity_) {
-    ++low_drops_;
-    count_drop(p);
+QOESIM_HOT bool PriorityQueue::do_enqueue(SlotId slot, Time /*now*/) {
+  const Packet& p = packet(slot);
+  const bool high = is_high_priority(p);
+  Ring<SlotId>& band = high ? high_ : low_;
+  if (band.size() >= (high ? high_capacity_ : low_capacity_)) {
+    ++(high ? high_drops_ : low_drops_);
+    drop(slot);
     return false;
   }
   bytes_ += p.size_bytes;
-  // qoesim-lint: allow(hot-alloc) -- low_capacity_-bounded deque; blocks recycled in steady state
-  low_.push_back(std::move(p));
+  band.push(slot);
   return true;
 }
 
-QOESIM_HOT std::optional<Packet> PriorityQueue::do_dequeue(Time /*now*/) {
-  std::deque<Packet>* source = nullptr;
-  if (!high_.empty()) {
-    source = &high_;
-  } else if (!low_.empty()) {
-    source = &low_;
-  } else {
-    return std::nullopt;
-  }
-  Packet p = std::move(source->front());
-  source->pop_front();
-  bytes_ -= p.size_bytes;
-  return p;
+QOESIM_HOT PriorityQueue::SlotId PriorityQueue::do_dequeue(Time /*now*/) {
+  Ring<SlotId>& band = high_.empty() ? low_ : high_;
+  if (band.empty()) return PacketPool::kNil;
+  const SlotId slot = band.front();
+  band.pop();
+  bytes_ -= packet(slot).size_bytes;
+  return slot;
 }
 
 }  // namespace qoesim::net

@@ -8,9 +8,8 @@
 // transfers can no longer build queueing delay in front of voice.
 #pragma once
 
-#include <deque>
-
 #include "net/queue.hpp"
+#include "net/ring.hpp"
 
 namespace qoesim::net {
 
@@ -47,14 +46,14 @@ class PriorityQueue final : public QueueDiscipline {
   }
 
  protected:
-  bool do_enqueue(Packet&& p, Time now) override;
-  std::optional<Packet> do_dequeue(Time now) override;
+  bool do_enqueue(SlotId slot, Time now) override;
+  SlotId do_dequeue(Time now) override;
 
  private:
   std::size_t high_capacity_;
   std::size_t low_capacity_;
-  std::deque<Packet> high_;
-  std::deque<Packet> low_;
+  Ring<SlotId> high_;
+  Ring<SlotId> low_;
   std::size_t bytes_ = 0;
   std::uint64_t high_drops_ = 0;
   std::uint64_t low_drops_ = 0;

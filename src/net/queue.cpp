@@ -11,11 +11,12 @@
 
 namespace qoesim::net {
 
-QOESIM_HOT bool QueueDiscipline::enqueue(Packet&& p, Time now) {
+QOESIM_HOT bool QueueDiscipline::enqueue(SlotId slot, Time now) {
+  Packet& p = packet(slot);
   ++stats_.offered;
   stats_.bytes_offered += p.size_bytes;
   p.enqueued_at = now;
-  const bool accepted = do_enqueue(std::move(p), now);
+  const bool accepted = do_enqueue(slot, now);
   if (accepted) {
     ++stats_.enqueued;
     stats_.max_packets_seen =
@@ -24,10 +25,10 @@ QOESIM_HOT bool QueueDiscipline::enqueue(Packet&& p, Time now) {
   return accepted;
 }
 
-QOESIM_HOT std::optional<Packet> QueueDiscipline::dequeue(Time now) {
-  auto p = do_dequeue(now);
-  if (p) ++stats_.dequeued;
-  return p;
+QOESIM_HOT QueueDiscipline::SlotId QueueDiscipline::dequeue(Time now) {
+  const SlotId slot = do_dequeue(now);
+  if (slot != PacketPool::kNil) ++stats_.dequeued;
+  return slot;
 }
 
 std::unique_ptr<QueueDiscipline> make_queue(QueueKind kind,

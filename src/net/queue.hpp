@@ -5,14 +5,21 @@
 // disciplines share a stats block so the experiment harness can read loss
 // rates uniformly. The paper's testbeds use drop-tail buffers sized in
 // packets; RED and CoDel are provided for the AQM ablation benchmark.
+//
+// A discipline never stores packets itself. The packets live in the
+// PacketPool of the Link the discipline is attached to (see
+// packet_pool.hpp); the discipline holds their 4-byte slot ids in a Ring,
+// reads or CE-marks a packet in place through the pool, and returns the
+// slot to the pool when it drops the packet, at the tail or at dequeue.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
+#include "core/annotations.hpp"
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 #include "sim/time.hpp"
 
 namespace qoesim::net {
@@ -39,6 +46,8 @@ struct QueueStats {
 
 class QueueDiscipline {
  public:
+  using SlotId = PacketPool::SlotId;
+
   explicit QueueDiscipline(std::size_t capacity_packets)
       : capacity_(capacity_packets) {}
   virtual ~QueueDiscipline() = default;
@@ -46,13 +55,21 @@ class QueueDiscipline {
   QueueDiscipline(const QueueDiscipline&) = delete;
   QueueDiscipline& operator=(const QueueDiscipline&) = delete;
 
-  /// Offer a packet at time `now`. Returns true if admitted. On admission
-  /// the packet's `enqueued_at` is stamped for delay accounting.
-  bool enqueue(Packet&& p, Time now);
+  /// Bind the pool holding this discipline's packets. The Link does this
+  /// when it is built; a discipline driven on its own needs a pool
+  /// attached before its first enqueue.
+  virtual void attach(PacketPool& pool) { pool_ = &pool; }
 
-  /// Remove the next packet to transmit, or nullopt if empty. AQM schemes
-  /// may silently drop head packets here (counted in stats).
-  std::optional<Packet> dequeue(Time now);
+  /// Offer the packet in pool slot `slot` at time `now`. Returns true if
+  /// admitted; on admission the packet's `enqueued_at` is stamped for
+  /// delay accounting. A dropped packet's slot goes back to the pool.
+  bool enqueue(SlotId slot, Time now);
+
+  /// Remove the next packet to transmit and return its slot, or
+  /// PacketPool::kNil if empty. The caller owns the returned slot. AQM
+  /// schemes may drop head packets here (counted in stats, slots
+  /// returned to the pool).
+  SlotId dequeue(Time now);
 
   virtual std::size_t packet_count() const = 0;
   virtual std::size_t byte_count() const = 0;
@@ -75,13 +92,25 @@ class QueueDiscipline {
   virtual std::string name() const = 0;
 
  protected:
-  /// Admission decision + storage; return true if stored.
-  virtual bool do_enqueue(Packet&& p, Time now) = 0;
-  virtual std::optional<Packet> do_dequeue(Time now) = 0;
+  /// Admission decision + storage; return true if stored. A discipline
+  /// that refuses the packet calls drop(slot) before returning false.
+  virtual bool do_enqueue(SlotId slot, Time now) = 0;
+  virtual SlotId do_dequeue(Time now) = 0;
 
-  void count_drop(const Packet& p) {
+  /// The packet in `slot` of the attached pool. Static-only shard bridge
+  /// (the virtual interface carries no annotation): callers were checked
+  /// upstream in Link::send / the Link's tx event.
+  Packet& packet(SlotId slot) const {
+    shard_plane.assert_held();
+    return pool_->at(slot);
+  }
+
+  /// Count the packet in `slot` as dropped and return the slot to the pool.
+  void drop(SlotId slot) {
+    shard_plane.assert_held();
     ++stats_.dropped;
-    stats_.bytes_dropped += p.size_bytes;
+    stats_.bytes_dropped += pool_->at(slot).size_bytes;
+    pool_->discard(slot);
   }
 
   /// True when this packet may be CE-marked instead of dropped.
@@ -98,6 +127,7 @@ class QueueDiscipline {
   std::size_t capacity_;
   QueueStats stats_;
   bool ecn_marking_ = false;
+  PacketPool* pool_ = nullptr;
 };
 
 /// Which discipline to instantiate (scenario configuration).

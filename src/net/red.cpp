@@ -18,7 +18,7 @@ void RedQueue::set_drain_rate(double bps) {
   }
 }
 
-QOESIM_HOT bool RedQueue::do_enqueue(Packet&& p, Time now) {
+QOESIM_HOT bool RedQueue::do_enqueue(SlotId slot, Time now) {
   // Static-only bridge (the override's base declaration carries no shard
   // annotation): callers were dynamically checked upstream in Link::send.
   shard_plane.assert_held();
@@ -41,16 +41,16 @@ QOESIM_HOT bool RedQueue::do_enqueue(Packet&& p, Time now) {
   const double min_th = params_.min_th_fraction * static_cast<double>(capacity_);
   const double max_th = params_.max_th_fraction * static_cast<double>(capacity_);
 
-  bool drop = false;
+  bool congested = false;
   // Forced drops are never converted to marks: a full buffer cannot admit,
   // and avg >= max_th means marking has failed to contain the load, so the
   // sender gets the hard signal (Floyd's ECN RED / Linux red_enqueue).
   bool hard = false;
   if (q_.size() >= capacity_) {
-    drop = true;  // hard tail drop
+    congested = true;  // hard tail drop
     hard = true;
   } else if (avg_ >= max_th) {
-    drop = true;
+    congested = true;
     hard = true;
   } else if (avg_ >= min_th) {
     // Probabilistic early drop; the 1/(1 - count*pb) correction spreads
@@ -60,7 +60,7 @@ QOESIM_HOT bool RedQueue::do_enqueue(Packet&& p, Time now) {
     const double denom = 1.0 - static_cast<double>(count_since_drop_) * pb;
     const double pa = denom <= 0.0 ? 1.0 : std::min(1.0, pb / denom);
     if (rng_.bernoulli(pa)) {
-      drop = true;
+      congested = true;
     } else {
       ++count_since_drop_;
     }
@@ -68,7 +68,8 @@ QOESIM_HOT bool RedQueue::do_enqueue(Packet&& p, Time now) {
     count_since_drop_ = 0;
   }
 
-  if (drop) {
+  Packet& p = packet(slot);
+  if (congested) {
     count_since_drop_ = 0;
     // RFC 3168 §5: with ECN the early-drop decision CE-marks ECT packets
     // and admits them; the congestion signal reaches the sender without
@@ -76,18 +77,17 @@ QOESIM_HOT bool RedQueue::do_enqueue(Packet&& p, Time now) {
     if (!hard && can_mark(p)) {
       apply_mark(p);
     } else {
-      count_drop(p);
+      drop(slot);
       return false;
     }
   }
   bytes_ += p.size_bytes;
-  // qoesim-lint: allow(hot-alloc) -- capacity_-bounded deque; blocks recycled in steady state
-  q_.push_back(std::move(p));
+  q_.push(slot);
   idle_ = false;
   return true;
 }
 
-QOESIM_HOT std::optional<Packet> RedQueue::do_dequeue(Time now) {
+QOESIM_HOT RedQueue::SlotId RedQueue::do_dequeue(Time now) {
   if (q_.empty()) {
     // The transmitter found the queue empty: an idle period starts (ns-2
     // does the same on an empty dequeue).
@@ -95,16 +95,16 @@ QOESIM_HOT std::optional<Packet> RedQueue::do_dequeue(Time now) {
       idle_ = true;
       idle_since_ = now;
     }
-    return std::nullopt;
+    return PacketPool::kNil;
   }
-  Packet p = std::move(q_.front());
-  q_.pop_front();
-  bytes_ -= p.size_bytes;
+  const SlotId slot = q_.front();
+  q_.pop();
+  bytes_ -= packet(slot).size_bytes;
   if (q_.empty()) {
     idle_ = true;
     idle_since_ = now;
   }
-  return p;
+  return slot;
 }
 
 }  // namespace qoesim::net

@@ -12,10 +12,9 @@
 // RedParams::mean_pkt_time.
 #pragma once
 
-#include <deque>
-
 #include "core/annotations.hpp"
 #include "net/queue.hpp"
+#include "net/ring.hpp"
 #include "sim/random.hpp"
 
 namespace qoesim::net {
@@ -53,12 +52,12 @@ class QOESIM_SHARD_PLANE RedQueue final : public QueueDiscipline {
   double average_queue() const { return avg_; }
 
  protected:
-  bool do_enqueue(Packet&& p, Time now) override;
-  std::optional<Packet> do_dequeue(Time now) override;
+  bool do_enqueue(SlotId slot, Time now) override;
+  SlotId do_dequeue(Time now) override;
 
  private:
   RedParams params_;
-  std::deque<Packet> q_;
+  Ring<SlotId> q_;
   std::size_t bytes_ = 0;
   double avg_ = 0.0;      // EWMA of the instantaneous queue length (packets)
   std::uint64_t count_since_drop_ = 0;

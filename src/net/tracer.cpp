@@ -80,11 +80,11 @@ TraceRecord TracingQueue::make_record(const Packet& p, Time now,
   return from_packet(p, now, e, point_);
 }
 
-bool TracingQueue::do_enqueue(Packet&& p, Time now) {
-  // Record before handing over (the inner queue may consume the packet).
-  TraceRecord pending = make_record(p, now, TraceEvent::kEnqueue);
+bool TracingQueue::do_enqueue(SlotId slot, Time now) {
+  // Record before handing over (a drop returns the slot to the pool).
+  TraceRecord pending = make_record(packet(slot), now, TraceEvent::kEnqueue);
   const std::uint64_t marks_before = inner_->stats().marked;
-  const bool accepted = inner_->enqueue(std::move(p), now);
+  const bool accepted = inner_->enqueue(slot, now);
   if (accepted) {
     tracer_.record(pending);
     // An admission that bumped the inner mark counter was an ECN CE mark
@@ -104,26 +104,26 @@ bool TracingQueue::do_enqueue(Packet&& p, Time now) {
   return accepted;
 }
 
-std::optional<Packet> TracingQueue::do_dequeue(Time now) {
+TracingQueue::SlotId TracingQueue::do_dequeue(Time now) {
   const QueueStats& is = inner_->stats();
   const std::uint64_t marks_before = is.marked;
   const std::uint64_t drops_before = is.dropped;
   const std::uint64_t drop_bytes_before = is.bytes_dropped;
-  auto p = inner_->dequeue(now);
+  const SlotId slot = inner_->dequeue(now);
   // CoDel marks at dequeue: the delivered head carries the fresh CE mark.
-  if (p && is.marked > marks_before) {
-    tracer_.record(make_record(*p, now, TraceEvent::kMark));
+  if (slot != PacketPool::kNil && is.marked > marks_before) {
+    tracer_.record(make_record(packet(slot), now, TraceEvent::kMark));
     stats_.marked += is.marked - marks_before;
   }
   // Mirror dequeue-time AQM drops (CoDel head drops) into the wrapper's
-  // stats block like the enqueue-time ones above. The dropped packets were
-  // consumed inside the inner discipline, so no per-packet kDrop trace
-  // record can be emitted for them -- only the counters survive.
+  // stats block like the enqueue-time ones above. The inner discipline
+  // returned the dropped slots to the pool itself, so no per-packet kDrop
+  // trace record can be emitted for them -- only the counters survive.
   if (is.dropped > drops_before) {
     stats_.dropped += is.dropped - drops_before;
     stats_.bytes_dropped += is.bytes_dropped - drop_bytes_before;
   }
-  return p;
+  return slot;
 }
 
 }  // namespace qoesim::net

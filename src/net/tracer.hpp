@@ -82,6 +82,10 @@ class TracingQueue final : public QueueDiscipline {
   std::size_t packet_count() const override { return inner_->packet_count(); }
   std::size_t byte_count() const override { return inner_->byte_count(); }
   std::string name() const override { return "Tracing+" + inner_->name(); }
+  void attach(PacketPool& pool) override {
+    QueueDiscipline::attach(pool);
+    inner_->attach(pool);
+  }
   void set_drain_rate(double bps) override { inner_->set_drain_rate(bps); }
   void set_ecn_marking(bool on) override {
     QueueDiscipline::set_ecn_marking(on);
@@ -89,8 +93,8 @@ class TracingQueue final : public QueueDiscipline {
   }
 
  protected:
-  bool do_enqueue(Packet&& p, Time now) override;
-  std::optional<Packet> do_dequeue(Time now) override;
+  bool do_enqueue(SlotId slot, Time now) override;
+  SlotId do_dequeue(Time now) override;
 
  private:
   TraceRecord make_record(const Packet& p, Time now, TraceEvent e) const;

@@ -7,10 +7,22 @@
 // stored in place, so storing or moving one performs no heap allocation.
 // Larger callables transparently fall back to a single heap allocation.
 //
+// Trivial-relocation fast path: an inline callable that is trivially
+// copyable and trivially destructible (a lambda capturing pointers, ids
+// and times by value -- the link's {this, slot} tx-complete event and
+// most timers) is moved with a fixed-size memcpy of the inline buffer and
+// never destroyed, instead of through the indirect move/destroy calls the
+// general case needs. The heap fallback's owning pointer is relocated the
+// same way (only its destroy stays indirect). A scheduled event is moved
+// several times on its way into and out of the scheduler's arena, so this
+// is a large share of what an event costs besides its heap sift. Event
+// order is unaffected: the scheduler orders on (when, seq) alone.
+//
 // SmallCallback is the scheduler's void() instantiation.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -61,7 +73,7 @@ class SmallFunction<R(Args...)> {
   /// Destroy the held callable (and free its heap storage, if any).
   void reset() {
     if (ops_) {
-      ops_->destroy(storage_);
+      if (ops_->destroy) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }
@@ -75,6 +87,9 @@ class SmallFunction<R(Args...)> {
   }
 
  private:
+  // A null move means the buffer is trivially relocatable (memcpy it):
+  // true for trivial inline callables and for the heap fallback's owning
+  // pointer. A null destroy means there is nothing to destroy.
   struct Ops {
     R (*invoke)(void* storage, Args&&... args);
     void (*move)(void* dst, void* src);  // relocate; src left destroyed
@@ -88,6 +103,12 @@ class SmallFunction<R(Args...)> {
            std::is_nothrow_move_constructible_v<Fn>;
   }
 
+  template <typename Fn>
+  static constexpr bool trivially_relocatable() {
+    return std::is_trivially_copyable_v<Fn> &&
+           std::is_trivially_destructible_v<Fn>;
+  }
+
   // launder: an object placement-newed into a char buffer is not
   // pointer-interconvertible with it, so every access goes through these.
   template <typename Fn>
@@ -96,19 +117,27 @@ class SmallFunction<R(Args...)> {
   }
 
   template <typename Fn>
+  static R invoke_inline(void* s, Args&&... args) {
+    return (*inline_ptr<Fn>(s))(std::forward<Args>(args)...);
+  }
+
+  template <typename Fn>
   static const Ops* inline_ops() {
-    static constexpr Ops ops = {
-        [](void* s, Args&&... args) -> R {
-          return (*inline_ptr<Fn>(s))(std::forward<Args>(args)...);
-        },
-        [](void* dst, void* src) {
-          Fn* from = inline_ptr<Fn>(src);
-          ::new (dst) Fn(std::move(*from));
-          from->~Fn();
-        },
-        [](void* s) { inline_ptr<Fn>(s)->~Fn(); },
-    };
-    return &ops;
+    if constexpr (trivially_relocatable<Fn>()) {
+      static constexpr Ops ops = {&invoke_inline<Fn>, nullptr, nullptr};
+      return &ops;
+    } else {
+      static constexpr Ops ops = {
+          &invoke_inline<Fn>,
+          [](void* dst, void* src) {
+            Fn* from = inline_ptr<Fn>(src);
+            ::new (dst) Fn(std::move(*from));
+            from->~Fn();
+          },
+          [](void* s) { inline_ptr<Fn>(s)->~Fn(); },
+      };
+      return &ops;
+    }
   }
 
   template <typename Fn>
@@ -122,9 +151,7 @@ class SmallFunction<R(Args...)> {
         [](void* s, Args&&... args) -> R {
           return (*heap_ptr<Fn>(s))(std::forward<Args>(args)...);
         },
-        [](void* dst, void* src) {
-          ::new (dst) Fn*(heap_ptr<Fn>(src));
-        },
+        nullptr,
         [](void* s) { delete heap_ptr<Fn>(s); },
     };
     return &ops;
@@ -133,7 +160,13 @@ class SmallFunction<R(Args...)> {
   void move_from(SmallFunction& other) {
     ops_ = other.ops_;
     if (ops_) {
-      ops_->move(storage_, other.storage_);
+      if (ops_->move) {
+        ops_->move(storage_, other.storage_);
+      } else {
+        // Copying the whole buffer keeps the size a compile-time constant
+        // (a few vector moves); the bytes past sizeof(Fn) are never read.
+        std::memcpy(storage_, other.storage_, kInlineCapacity);
+      }
       other.ops_ = nullptr;
     }
   }

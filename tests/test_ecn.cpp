@@ -17,6 +17,7 @@
 #include "tcp/tcp_server.hpp"
 #include "tcp/tcp_socket.hpp"
 #include "tcp_test_util.hpp"
+#include "queue_test_util.hpp"
 
 namespace qoesim {
 namespace {
@@ -44,17 +45,18 @@ Packet make_packet(Ecn ecn, std::uint32_t size = net::kMtuBytes) {
 
 TEST(EcnRed, MarksEctInsteadOfEarlyDropping) {
   RedQueue q(100, net::RedParams{}, /*seed=*/7);
+  testutil::PooledQueue pq(q);
   q.set_ecn_marking(true);
   // Hold the queue mid-band (between min_th=25 and max_th=75) so every
   // admission decision runs the probabilistic early-drop rule.
   Time now = Time::zero();
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(q.enqueue(make_packet(Ecn::kEct0), now));
+    ASSERT_TRUE(pq.offer(make_packet(Ecn::kEct0), now));
     now = now + Time::milliseconds(1);
   }
   for (int i = 0; i < 4000; ++i) {
-    q.enqueue(make_packet(Ecn::kEct0), now);
-    (void)q.dequeue(now);
+    pq.offer(make_packet(Ecn::kEct0), now);
+    (void)pq.take(now);
     now = now + Time::milliseconds(1);
   }
   // ECT traffic through a never-full RED must lose nothing: each early
@@ -67,20 +69,22 @@ TEST(EcnRed, MarksEctInsteadOfEarlyDropping) {
 TEST(EcnRed, NotEctStillDropsAndNoMarksWhenDisabled) {
   // Marking enabled but Not-ECT traffic: drops as before, zero marks.
   RedQueue ect_off(100, net::RedParams{}, 7);
+  testutil::PooledQueue ect_off_pq(ect_off);
   ect_off.set_ecn_marking(true);
   // Marking disabled but ECT traffic: also drops, zero marks.
   RedQueue mark_off(100, net::RedParams{}, 7);
+  testutil::PooledQueue mark_off_pq(mark_off);
   Time now = Time::zero();
   for (int i = 0; i < 50; ++i) {
-    ect_off.enqueue(make_packet(Ecn::kNotEct), now);
-    mark_off.enqueue(make_packet(Ecn::kEct0), now);
+    ect_off_pq.offer(make_packet(Ecn::kNotEct), now);
+    mark_off_pq.offer(make_packet(Ecn::kEct0), now);
     now = now + Time::milliseconds(1);
   }
   for (int i = 0; i < 4000; ++i) {
-    ect_off.enqueue(make_packet(Ecn::kNotEct), now);
-    (void)ect_off.dequeue(now);
-    mark_off.enqueue(make_packet(Ecn::kEct0), now);
-    (void)mark_off.dequeue(now);
+    ect_off_pq.offer(make_packet(Ecn::kNotEct), now);
+    (void)ect_off_pq.take(now);
+    mark_off_pq.offer(make_packet(Ecn::kEct0), now);
+    (void)mark_off_pq.take(now);
     now = now + Time::milliseconds(1);
   }
   EXPECT_EQ(ect_off.stats().marked, 0u);
@@ -91,14 +95,15 @@ TEST(EcnRed, NotEctStillDropsAndNoMarksWhenDisabled) {
 
 TEST(EcnRed, FullBufferStillDropsEct) {
   RedQueue q(10, net::RedParams{}, 7);
+  testutil::PooledQueue pq(q);
   q.set_ecn_marking(true);
   Time now = Time::zero();
   for (std::size_t i = 0; i < 10; ++i) {
-    q.enqueue(make_packet(Ecn::kEct0), now);
+    pq.offer(make_packet(Ecn::kEct0), now);
   }
   ASSERT_EQ(q.packet_count(), 10u);
   const auto dropped_before = q.stats().dropped;
-  EXPECT_FALSE(q.enqueue(make_packet(Ecn::kEct0), now));
+  EXPECT_FALSE(pq.offer(make_packet(Ecn::kEct0), now));
   EXPECT_EQ(q.stats().dropped, dropped_before + 1);
 }
 
@@ -108,16 +113,17 @@ TEST(EcnRed, FullBufferStillDropsEct) {
 
 TEST(EcnCoDel, MarksAtDequeueInsteadOfDropping) {
   CoDelQueue q(1000);
+  testutil::PooledQueue pq(q);
   q.set_ecn_marking(true);
   // Build sustained sojourn above target (5 ms) for over an interval
   // (100 ms): enqueue at t, dequeue 150 ms later.
   Time t = Time::zero();
   std::uint64_t ce_delivered = 0;
   for (int i = 0; i < 3000; ++i) {
-    q.enqueue(make_packet(Ecn::kEct0), t);
+    pq.offer(make_packet(Ecn::kEct0), t);
     t = t + Time::milliseconds(1);
     if (i >= 150) {
-      if (auto p = q.dequeue(t)) {
+      if (auto p = pq.take(t)) {
         if (p->ecn == Ecn::kCe) ++ce_delivered;
       }
     }
@@ -132,12 +138,13 @@ TEST(EcnCoDel, MarksAtDequeueInsteadOfDropping) {
 
 TEST(EcnCoDel, NotEctTrafficStillDropsWithMarkingEnabled) {
   CoDelQueue q(1000);
+  testutil::PooledQueue pq(q);
   q.set_ecn_marking(true);
   Time t = Time::zero();
   for (int i = 0; i < 3000; ++i) {
-    q.enqueue(make_packet(Ecn::kNotEct), t);
+    pq.offer(make_packet(Ecn::kNotEct), t);
     t = t + Time::milliseconds(1);
-    if (i >= 150) (void)q.dequeue(t);
+    if (i >= 150) (void)pq.take(t);
   }
   EXPECT_GT(q.stats().dropped, 0u);
   EXPECT_EQ(q.stats().marked, 0u);
@@ -150,12 +157,13 @@ TEST(EcnTracer, TracingQueueRecordsMarksAndForwardsSwitch) {
   net::PacketTracer tracer;
   auto inner = std::make_unique<CoDelQueue>(1000);
   net::TracingQueue q(std::move(inner), tracer, "bottleneck");
+  testutil::PooledQueue pq(q);  // attach() reaches the wrapped CoDel
   q.set_ecn_marking(true);  // must reach the wrapped CoDel
   Time t = Time::zero();
   for (int i = 0; i < 2000; ++i) {
-    q.enqueue(make_packet(Ecn::kEct0), t);
+    pq.offer(make_packet(Ecn::kEct0), t);
     t = t + Time::milliseconds(1);
-    if (i >= 150) (void)q.dequeue(t);
+    if (i >= 150) (void)pq.take(t);
   }
   const auto marks = tracer.count(
       [](const net::TraceRecord& r) { return r.event == net::TraceEvent::kMark; });

@@ -10,6 +10,7 @@
 #include "net/priority_queue.hpp"
 #include "qoe/http_video_qoe.hpp"
 #include "qoe/voip_qoe.hpp"
+#include "queue_test_util.hpp"
 
 namespace qoesim {
 namespace {
@@ -30,30 +31,33 @@ net::Packet tcp_pkt() {
 
 TEST(PriorityQueue, RealTimeServedFirst) {
   net::PriorityQueue q(10);
-  q.enqueue(tcp_pkt(), Time::zero());
-  q.enqueue(tcp_pkt(), Time::zero());
-  q.enqueue(udp_pkt(), Time::zero());
-  auto first = q.dequeue(Time::zero());
+  testutil::PooledQueue pq(q);
+  pq.offer(tcp_pkt(), Time::zero());
+  pq.offer(tcp_pkt(), Time::zero());
+  pq.offer(udp_pkt(), Time::zero());
+  auto first = pq.take(Time::zero());
   ASSERT_TRUE(first);
   EXPECT_EQ(first->proto, net::Protocol::kUdp);
-  EXPECT_EQ(q.dequeue(Time::zero())->proto, net::Protocol::kTcp);
+  EXPECT_EQ(pq.take(Time::zero())->proto, net::Protocol::kTcp);
 }
 
 TEST(PriorityQueue, ClassesHaveSeparateSpace) {
   net::PriorityQueue q(8, {.high_priority_share = 0.25});
+  testutil::PooledQueue pq(q);
   // Fill the low-priority class completely (6 slots).
-  for (int i = 0; i < 10; ++i) q.enqueue(tcp_pkt(), Time::zero());
+  for (int i = 0; i < 10; ++i) pq.offer(tcp_pkt(), Time::zero());
   EXPECT_GT(q.low_drops(), 0u);
   // Real-time traffic still gets in.
-  EXPECT_TRUE(q.enqueue(udp_pkt(), Time::zero()));
+  EXPECT_TRUE(pq.offer(udp_pkt(), Time::zero()));
   EXPECT_EQ(q.high_drops(), 0u);
 }
 
 TEST(PriorityQueue, HighClassBounded) {
   net::PriorityQueue q(8, {.high_priority_share = 0.25});
+  testutil::PooledQueue pq(q);
   int accepted = 0;
   for (int i = 0; i < 10; ++i) {
-    if (q.enqueue(udp_pkt(), Time::zero())) ++accepted;
+    if (pq.offer(udp_pkt(), Time::zero())) ++accepted;
   }
   EXPECT_EQ(accepted, 2);  // ceil(8 * 0.25)
   EXPECT_GT(q.high_drops(), 0u);
@@ -61,14 +65,15 @@ TEST(PriorityQueue, HighClassBounded) {
 
 TEST(PriorityQueue, ConservationInvariant) {
   net::PriorityQueue q(16);
+  testutil::PooledQueue pq(q);
   std::uint64_t offered = 0;
   RandomStream rng(5);
   for (int i = 0; i < 2000; ++i) {
     if (rng.bernoulli(0.6)) {
-      q.enqueue(rng.bernoulli(0.3) ? udp_pkt() : tcp_pkt(), Time::zero());
+      pq.offer(rng.bernoulli(0.3) ? udp_pkt() : tcp_pkt(), Time::zero());
       ++offered;
     } else {
-      q.dequeue(Time::zero());
+      pq.take(Time::zero());
     }
   }
   EXPECT_EQ(q.stats().offered, offered);

@@ -169,7 +169,10 @@ TEST_F(LinkTest, SteadyStateForwardingDoesNotGrowThePool) {
   EXPECT_EQ(steady.slab_growths, warm.slab_growths)
       << "steady-state forwarding must not allocate pool slots";
   EXPECT_GT(steady.acquired, warm.acquired + 10000u);
-  EXPECT_EQ(steady.acquired - steady.released, link.wire_depth() +
+  // The pool holds every packet the link owns: buffered, serializing and
+  // propagating.
+  EXPECT_EQ(steady.acquired - steady.released,
+            link.queue().packet_count() + link.wire_depth() +
                 (link.transmitting() ? 1u : 0u));
 }
 
@@ -198,8 +201,9 @@ TEST_F(LinkTest, NoSinkReleasesSlotsImmediately) {
   EXPECT_EQ(link.delivered_packets(), 50u);
   EXPECT_EQ(link.wire_depth(), 0u);
   EXPECT_EQ(link.pool_stats().acquired, link.pool_stats().released);
-  // Without a sink nothing rides the wire, so one slot suffices.
-  EXPECT_EQ(link.pool_stats().peak_in_flight, 1u);
+  // Without a sink nothing rides the wire: the peak is the burst itself,
+  // one packet serializing plus 49 buffered, all held in the pool.
+  EXPECT_EQ(link.pool_stats().peak_in_flight, 50u);
 }
 
 TEST_F(LinkTest, Table2DelayFigures) {

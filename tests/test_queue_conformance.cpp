@@ -16,6 +16,7 @@
 #include "net/topology.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
+#include "queue_test_util.hpp"
 
 namespace qoesim::net {
 namespace {
@@ -42,6 +43,7 @@ class DisciplineConformance
 TEST_P(DisciplineConformance, StatsAndByteAccountingInvariants) {
   const auto [kind, capacity] = GetParam();
   auto q = make_queue(kind, capacity, /*seed=*/4242);
+  testutil::PooledQueue pq(*q);
   q->set_drain_rate(16e6);
   RandomStream rng(1234);
   Time now = Time::zero();
@@ -53,8 +55,8 @@ TEST_P(DisciplineConformance, StatsAndByteAccountingInvariants) {
           static_cast<std::uint32_t>(rng.uniform_int(40, kMtuBytes));
       const auto proto =
           rng.bernoulli(0.3) ? Protocol::kUdp : Protocol::kTcp;
-      q->enqueue(make_packet(size, proto), now);
-    } else if (auto p = q->dequeue(now)) {
+      pq.offer(make_packet(size, proto), now);
+    } else if (auto p = pq.take(now)) {
       delivered_bytes += p->size_bytes;
       ++dequeued;
     }
@@ -83,16 +85,16 @@ TEST_P(DisciplineConformance, EnqueueOnlyDisciplinesSplitOfferedExactly) {
                     "does not apply";
   }
   auto q = make_queue(kind, capacity, /*seed=*/4242);
+  testutil::PooledQueue pq(*q);
   RandomStream rng(99);
   Time now = Time::zero();
   for (int i = 0; i < 4000; ++i) {
     if (rng.bernoulli(0.6)) {
-      q->enqueue(make_packet(kMtuBytes,
-                             rng.bernoulli(0.5) ? Protocol::kUdp
-                                                : Protocol::kTcp),
-                 now);
+      pq.offer(make_packet(kMtuBytes, rng.bernoulli(0.5) ? Protocol::kUdp
+                                                         : Protocol::kTcp),
+               now);
     } else {
-      q->dequeue(now);
+      pq.take(now);
     }
     ASSERT_EQ(q->stats().offered, q->stats().enqueued + q->stats().dropped);
     now += Time::microseconds(50);
@@ -130,11 +132,12 @@ TEST(PriorityCapacity, FullShareLeavesNoLowBand) {
   // Regression: share = 1.0 used to grant the low band a bonus slot, so
   // the queue buffered capacity + 1 packets.
   PriorityQueue q(8, PriorityParams{1.0});
+  testutil::PooledQueue pq(q);
   EXPECT_EQ(q.high_capacity(), 8u);
   EXPECT_EQ(q.low_capacity(), 0u);
   for (int i = 0; i < 16; ++i) {
-    q.enqueue(make_packet(kMtuBytes, Protocol::kUdp), Time::zero());
-    q.enqueue(make_packet(kMtuBytes, Protocol::kTcp), Time::zero());
+    pq.offer(make_packet(kMtuBytes, Protocol::kUdp), Time::zero());
+    pq.offer(make_packet(kMtuBytes, Protocol::kTcp), Time::zero());
   }
   EXPECT_EQ(q.packet_count(), 8u);
   EXPECT_EQ(q.low_count(), 0u);
@@ -143,18 +146,20 @@ TEST(PriorityCapacity, FullShareLeavesNoLowBand) {
 
 TEST(PriorityCapacity, SinglePacketBufferNeverHoldsTwo) {
   PriorityQueue q(1);  // default share 0.25 -> high gets the only slot
-  q.enqueue(make_packet(kMtuBytes, Protocol::kUdp), Time::zero());
-  q.enqueue(make_packet(kMtuBytes, Protocol::kTcp), Time::zero());
-  q.enqueue(make_packet(kMtuBytes, Protocol::kUdp), Time::zero());
+  testutil::PooledQueue pq(q);
+  pq.offer(make_packet(kMtuBytes, Protocol::kUdp), Time::zero());
+  pq.offer(make_packet(kMtuBytes, Protocol::kTcp), Time::zero());
+  pq.offer(make_packet(kMtuBytes, Protocol::kUdp), Time::zero());
   EXPECT_EQ(q.packet_count(), 1u);
   EXPECT_EQ(q.stats().dropped, 2u);
 }
 
 TEST(PriorityCapacity, HighPriorityServedFirstWithinCapacity) {
   PriorityQueue q(8, PriorityParams{0.5});
-  q.enqueue(make_packet(100, Protocol::kTcp), Time::zero());
-  q.enqueue(make_packet(200, Protocol::kUdp), Time::zero());
-  auto first = q.dequeue(Time::zero());
+  testutil::PooledQueue pq(q);
+  pq.offer(make_packet(100, Protocol::kTcp), Time::zero());
+  pq.offer(make_packet(200, Protocol::kUdp), Time::zero());
+  auto first = pq.take(Time::zero());
   ASSERT_TRUE(first);
   EXPECT_EQ(first->proto, Protocol::kUdp);
 }
@@ -164,22 +169,23 @@ TEST(PriorityCapacity, HighPriorityServedFirstWithinCapacity) {
 
 TEST(RedIdleDecay, AverageDecaysAcrossIdlePeriod) {
   RedQueue q(100);
+  testutil::PooledQueue pq(q);
   q.set_drain_rate(12e6);  // 1500-byte packet drains in 1 ms
   // Build up a standing average.
   Time now = Time::zero();
   for (int i = 0; i < 2000; ++i) {
-    q.enqueue(make_packet(), now);
-    if (q.packet_count() > 40) q.dequeue(now);
+    pq.offer(make_packet(), now);
+    if (q.packet_count() > 40) pq.take(now);
     now += Time::milliseconds(1);
   }
   const double busy_avg = q.average_queue();
   ASSERT_GT(busy_avg, 10.0);
   // Drain completely; the last successful dequeue marks the idle start.
-  while (q.dequeue(now)) {
+  while (pq.take(now)) {
   }
   // One second idle = 1000 packet-times: avg must decay by (1-w)^1000.
   now += Time::seconds(1);
-  q.enqueue(make_packet(), now);
+  pq.offer(make_packet(), now);
   const double expected = busy_avg * std::pow(1.0 - 0.002, 1000.0);
   EXPECT_NEAR(q.average_queue(), expected, expected * 1e-6);
   EXPECT_LT(q.average_queue(), busy_avg * 0.2);
@@ -189,23 +195,24 @@ TEST(RedIdleDecay, FrozenAverageNoLongerDropsAfterLongIdle) {
   // Regression: avg_ used to freeze at its busy value, so the first
   // packets after a long idle gap could still be early-dropped.
   RedQueue q(100);
+  testutil::PooledQueue pq(q);
   q.set_drain_rate(12e6);
   Time now = Time::zero();
   // Hold the queue around 60 packets so avg_ climbs between the 25/75
   // thresholds where early drop is active.
   for (int i = 0; i < 4000; ++i) {
-    q.enqueue(make_packet(), now);
-    if (q.packet_count() > 60) q.dequeue(now);
+    pq.offer(make_packet(), now);
+    if (q.packet_count() > 60) pq.take(now);
     now += Time::milliseconds(1);
   }
   ASSERT_GT(q.average_queue(), 25.0);
-  while (q.dequeue(now)) {
+  while (pq.take(now)) {
   }
   now += Time::seconds(60);  // decays avg to ~0
   const auto dropped_before = q.stats().dropped;
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(q.enqueue(make_packet(), now));
-    q.dequeue(now);
+    EXPECT_TRUE(pq.offer(make_packet(), now));
+    pq.take(now);
     now += Time::milliseconds(1);
   }
   EXPECT_EQ(q.stats().dropped, dropped_before);
@@ -213,13 +220,15 @@ TEST(RedIdleDecay, FrozenAverageNoLongerDropsAfterLongIdle) {
 }
 
 // Drive a queue with a fixed near-threshold load and record which arrivals
-// were admitted.
+// were admitted. The queue is attached to a pool local to this call, so a
+// link-owned queue must not carry link traffic afterwards.
 std::vector<bool> red_admission_pattern(QueueDiscipline& q) {
+  testutil::PooledQueue pq(q);
   std::vector<bool> pattern;
   Time now = Time::zero();
   for (int i = 0; i < 3000; ++i) {
-    pattern.push_back(q.enqueue(make_packet(), now));
-    if (q.packet_count() > 50) q.dequeue(now);
+    pattern.push_back(pq.offer(make_packet(), now));
+    if (q.packet_count() > 50) pq.take(now);
     now += Time::milliseconds(1);
   }
   return pattern;
@@ -267,24 +276,26 @@ TEST(RedSeeding, TopologyDerivesPerLinkSeeds) {
 
 // Keep a CoDel queue in a standing-queue regime (every packet's sojourn is
 // `sojourn`) for `steps` dequeues spaced `spacing` apart.
-void codel_standing(CoDelQueue& q, Time& now, Time sojourn, Time spacing,
-                    int steps) {
+void codel_standing(testutil::PooledQueue& pq, Time& now, Time sojourn,
+                    Time spacing, int steps) {
+  const QueueDiscipline& q = pq.queue();
   for (int i = 0; i < steps; ++i) {
     // Keep ~20 packets of backlog whose head is `sojourn` old.
-    while (q.packet_count() < 20) q.enqueue(make_packet(), now - sojourn);
-    q.dequeue(now);
+    while (q.packet_count() < 20) pq.offer(make_packet(), now - sojourn);
+    pq.take(now);
     now += spacing;
   }
 }
 
 TEST(CoDelHysteresis, QuickReentryResumesFromPreviousRate) {
   CoDelQueue q(1000);
+  testutil::PooledQueue pq(q);
   Time now = Time::seconds(1);
   // Enter the dropping state and accumulate several drops.
-  codel_standing(q, now, Time::milliseconds(50), Time::milliseconds(20), 300);
+  codel_standing(pq, now, Time::milliseconds(50), Time::milliseconds(20), 300);
   ASSERT_TRUE(q.dropping());
   // Draining the backlog ends the dropping state (empty queue).
-  while (q.dequeue(now)) {
+  while (pq.take(now)) {
   }
   ASSERT_FALSE(q.dropping());
   const std::uint32_t count_at_exit = q.drop_count();
@@ -292,17 +303,18 @@ TEST(CoDelHysteresis, QuickReentryResumesFromPreviousRate) {
   // Re-enter quickly (well inside 16 intervals = 1.6 s): the count resumes
   // from the drops the previous state accumulated instead of restarting
   // at 1, so the drop spacing stays tight.
-  codel_standing(q, now, Time::milliseconds(50), Time::milliseconds(20), 40);
+  codel_standing(pq, now, Time::milliseconds(50), Time::milliseconds(20), 40);
   ASSERT_TRUE(q.dropping());
   EXPECT_GE(q.drop_count(), count_at_exit - 1);
 }
 
 TEST(CoDelHysteresis, SlowReentryRestartsFromOne) {
   CoDelQueue q(1000);
+  testutil::PooledQueue pq(q);
   Time now = Time::seconds(1);
-  codel_standing(q, now, Time::milliseconds(50), Time::milliseconds(20), 300);
+  codel_standing(pq, now, Time::milliseconds(50), Time::milliseconds(20), 300);
   ASSERT_TRUE(q.dropping());
-  while (q.dequeue(now)) {
+  while (pq.take(now)) {
   }
   ASSERT_FALSE(q.dropping());
   ASSERT_GT(q.drop_count(), 2u);
@@ -310,7 +322,7 @@ TEST(CoDelHysteresis, SlowReentryRestartsFromOne) {
   now += Time::seconds(60);
   // A fresh episode restarts the control law from count == 1: within its
   // first interval it sheds at most the entry drop plus one more.
-  codel_standing(q, now, Time::milliseconds(50), Time::milliseconds(20), 8);
+  codel_standing(pq, now, Time::milliseconds(50), Time::milliseconds(20), 8);
   ASSERT_TRUE(q.dropping());
   EXPECT_LE(q.drop_count(), 2u);
 }

@@ -6,6 +6,7 @@
 #include "sim/simulation.hpp"
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 namespace qoesim {
@@ -268,6 +269,111 @@ TEST(Scheduler, LargeCapturesFallBackToHeapStorage) {
   sched.run();
   EXPECT_EQ(*witness, 1);
   EXPECT_EQ(witness.use_count(), 2);  // only witness + big remain
+}
+
+// SmallFunction moves a trivially copyable inline capture with memcpy and
+// never destroys it. Enough events are scheduled that the slot arena
+// reallocates (moving every pending callback) several times; every
+// capture must still arrive intact, through reschedule and fire.
+TEST(Scheduler, TrivialInlineCaptureSurvivesArenaGrowthAndReschedule) {
+  Scheduler sched;
+  std::vector<std::uint64_t> fired;
+  struct Capture {
+    std::vector<std::uint64_t>* out;
+    std::uint64_t id;
+    double weight;
+    std::uint32_t tag;
+  };
+  static_assert(std::is_trivially_copyable_v<Capture>);
+  std::vector<EventHandle> handles;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    const Capture c{&fired, i, 0.5 * static_cast<double>(i),
+                    static_cast<std::uint32_t>(i * 7)};
+    auto cb = [c] {
+      EXPECT_EQ(c.weight, 0.5 * static_cast<double>(c.id));
+      EXPECT_EQ(c.tag, static_cast<std::uint32_t>(c.id * 7));
+      c.out->push_back(c.id);
+    };
+    static_assert(std::is_trivially_copyable_v<decltype(cb)>);
+    handles.push_back(sched.schedule_at(Time::seconds(1.0 + i), cb));
+  }
+  // Move the even events behind all the odd ones.
+  for (std::uint64_t i = 0; i < 300; i += 2)
+    ASSERT_TRUE(handles[i].reschedule(Time::seconds(1000.0 + i)));
+  sched.run();
+  ASSERT_EQ(fired.size(), 300u);
+  for (std::uint64_t i = 0; i < 150; ++i) {
+    EXPECT_EQ(fired[i], 2 * i + 1);
+    EXPECT_EQ(fired[150 + i], 2 * i);
+  }
+}
+
+// A shared_ptr capture takes the general (non-trivial) inline path: its
+// moves run the move constructor and its destruction releases the
+// reference, whether the event fires or is cancelled.
+TEST(Scheduler, SharedPtrCaptureReleasedAfterFireAndCancel) {
+  Scheduler sched;
+  auto witness = std::make_shared<int>(0);
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 100; ++i) {
+    handles.push_back(sched.schedule_at(Time::seconds(1.0 + i),
+                                        [w = witness] { ++*w; }));
+  }
+  EXPECT_EQ(witness.use_count(), 101);
+  for (int i = 0; i < 100; i += 4) handles[i].cancel();
+  EXPECT_EQ(witness.use_count(), 76);  // cancel destroys the capture
+  for (int i = 1; i < 100; i += 4)
+    ASSERT_TRUE(handles[i].reschedule(Time::seconds(500.0 + i)));
+  sched.run_until(Time::seconds(200));
+  EXPECT_EQ(*witness, 50);
+  EXPECT_EQ(witness.use_count(), 26);  // the 25 rescheduled still pending
+  sched.run();
+  EXPECT_EQ(*witness, 75);
+  EXPECT_EQ(witness.use_count(), 1);
+}
+
+// A capture larger than the inline buffer lives on the heap; the buffer
+// then holds only the owning pointer, which moves like a trivial capture.
+// Every heap copy must still be freed exactly once, on fire, on cancel
+// and when the scheduler is destroyed with the event pending (the
+// sanitizer builds report a leak or double free).
+TEST(Scheduler, HeapFallbackCaptureFreedOnFireCancelAndDestruction) {
+  auto witness = std::make_shared<int>(0);
+  struct Big {
+    char payload[64];
+    std::shared_ptr<int> w;
+  };
+  static_assert(sizeof(Big) > SmallCallback::kInlineCapacity);
+  {
+    Scheduler sched;
+    std::vector<EventHandle> handles;
+    for (int i = 0; i < 100; ++i) {
+      Big big{{}, witness};
+      big.payload[0] = static_cast<char>(i);
+      handles.push_back(sched.schedule_at(
+          Time::seconds(1.0 + i), [big] { *big.w += big.payload[0] >= 0; }));
+    }
+    EXPECT_EQ(witness.use_count(), 101);
+    for (int i = 0; i < 100; i += 4) handles[i].cancel();
+    for (int i = 1; i < 100; i += 4)
+      ASSERT_TRUE(handles[i].reschedule(Time::seconds(500.0 + i)));
+    sched.run_until(Time::seconds(200));
+    EXPECT_EQ(*witness, 50);
+    EXPECT_EQ(witness.use_count(), 26);
+  }  // destroys the 25 still-pending events
+  EXPECT_EQ(witness.use_count(), 1);
+
+  // The same at the SmallFunction level: move construction, move
+  // assignment over a live target, and reset().
+  SmallCallback a = [big = Big{{}, witness}] { (void)big; };
+  SmallCallback b = std::move(a);
+  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  SmallCallback c = [big = Big{{}, witness}] { (void)big; };
+  EXPECT_EQ(witness.use_count(), 3);
+  c = std::move(b);
+  EXPECT_EQ(witness.use_count(), 2);
+  c.reset();
+  EXPECT_EQ(witness.use_count(), 1);
 }
 
 TEST(Scheduler, StatsCountersTrackOperations) {

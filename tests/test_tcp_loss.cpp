@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/drop_tail.hpp"
+#include "queue_test_util.hpp"
 #include "sim/simulation.hpp"
 #include "tcp/tcp_server.hpp"
 #include "tcp/tcp_socket.hpp"
@@ -12,46 +13,27 @@ namespace {
 
 /// Drop-tail queue that additionally drops selected packets: either by
 /// 1-based arrival index (deterministic) or i.i.d. with probability p.
-class LossyQueue final : public net::QueueDiscipline {
+class LossyQueue final : public testutil::FilterQueue {
  public:
   LossyQueue(std::size_t capacity, std::vector<std::uint64_t> drop_indices,
              double drop_prob = 0.0, std::uint64_t seed = 1)
-      : QueueDiscipline(capacity),
+      : FilterQueue(capacity),
         drop_indices_(std::move(drop_indices)),
         drop_prob_(drop_prob),
         rng_(seed) {}
 
-  std::size_t packet_count() const override { return q_.size(); }
-  std::size_t byte_count() const override { return bytes_; }
   std::string name() const override { return "Lossy"; }
 
  protected:
-  bool do_enqueue(net::Packet&& p, Time /*now*/) override {
+  bool reject(const net::Packet&) override {
     ++arrivals_;
     const bool listed =
         std::find(drop_indices_.begin(), drop_indices_.end(), arrivals_) !=
         drop_indices_.end();
-    if (listed || (drop_prob_ > 0 && rng_.bernoulli(drop_prob_)) ||
-        q_.size() >= capacity_) {
-      count_drop(p);
-      return false;
-    }
-    bytes_ += p.size_bytes;
-    q_.push_back(std::move(p));
-    return true;
-  }
-
-  std::optional<net::Packet> do_dequeue(Time /*now*/) override {
-    if (q_.empty()) return std::nullopt;
-    net::Packet p = std::move(q_.front());
-    q_.pop_front();
-    bytes_ -= p.size_bytes;
-    return p;
+    return listed || (drop_prob_ > 0 && rng_.bernoulli(drop_prob_));
   }
 
  private:
-  std::deque<net::Packet> q_;
-  std::size_t bytes_ = 0;
   std::uint64_t arrivals_ = 0;
   std::vector<std::uint64_t> drop_indices_;
   double drop_prob_;

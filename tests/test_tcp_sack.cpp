@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "net/drop_tail.hpp"
+#include "queue_test_util.hpp"
 #include "sim/simulation.hpp"
 #include "tcp/tcp_server.hpp"
 #include "tcp/tcp_socket.hpp"
@@ -12,37 +13,20 @@ namespace qoesim {
 namespace {
 
 /// Queue that drops a contiguous index range [first, last] of arrivals.
-class RangeDropQueue final : public net::QueueDiscipline {
+class RangeDropQueue final : public testutil::FilterQueue {
  public:
   RangeDropQueue(std::size_t capacity, std::uint64_t first, std::uint64_t last)
-      : QueueDiscipline(capacity), first_(first), last_(last) {}
+      : FilterQueue(capacity), first_(first), last_(last) {}
 
-  std::size_t packet_count() const override { return q_.size(); }
-  std::size_t byte_count() const override { return bytes_; }
   std::string name() const override { return "RangeDrop"; }
 
  protected:
-  bool do_enqueue(net::Packet&& p, Time) override {
+  bool reject(const net::Packet&) override {
     ++arrivals_;
-    if ((arrivals_ >= first_ && arrivals_ <= last_) || q_.size() >= capacity_) {
-      count_drop(p);
-      return false;
-    }
-    bytes_ += p.size_bytes;
-    q_.push_back(std::move(p));
-    return true;
-  }
-  std::optional<net::Packet> do_dequeue(Time) override {
-    if (q_.empty()) return std::nullopt;
-    net::Packet p = std::move(q_.front());
-    q_.pop_front();
-    bytes_ -= p.size_bytes;
-    return p;
+    return arrivals_ >= first_ && arrivals_ <= last_;
   }
 
  private:
-  std::deque<net::Packet> q_;
-  std::size_t bytes_ = 0;
   std::uint64_t arrivals_ = 0;
   std::uint64_t first_, last_;
 };
@@ -128,44 +112,25 @@ TEST(TcpSack, SingleTailSegmentProbe) {
 TEST(TcpSack, LostRetransmissionEventuallyRepaired) {
   // Drop segment 10 twice (original and first retransmission): the rescue
   // pass or RTO must still complete the transfer.
-  class DoubleDropQueue final : public net::QueueDiscipline {
+  class DoubleDropQueue final : public testutil::FilterQueue {
    public:
-    explicit DoubleDropQueue(std::size_t capacity)
-        : QueueDiscipline(capacity) {}
-    std::size_t packet_count() const override { return q_.size(); }
-    std::size_t byte_count() const override { return bytes_; }
+    using FilterQueue::FilterQueue;
     std::string name() const override { return "DoubleDrop"; }
 
    protected:
-    bool do_enqueue(net::Packet&& p, Time) override {
+    bool reject(const net::Packet& p) override {
       // Identify the victim by TCP sequence: segment with seq for byte
       // 9*1460+1 (the 10th data segment). Drop its first two appearances.
       if (p.proto == net::Protocol::kTcp &&
           p.tcp.seq == 9ull * 1460ull + 1ull && p.tcp.payload > 0 &&
           drops_ < 2) {
         ++drops_;
-        count_drop(p);
-        return false;
+        return true;
       }
-      if (q_.size() >= capacity_) {
-        count_drop(p);
-        return false;
-      }
-      bytes_ += p.size_bytes;
-      q_.push_back(std::move(p));
-      return true;
-    }
-    std::optional<net::Packet> do_dequeue(Time) override {
-      if (q_.empty()) return std::nullopt;
-      net::Packet p = std::move(q_.front());
-      q_.pop_front();
-      bytes_ -= p.size_bytes;
-      return p;
+      return false;
     }
 
    private:
-    std::deque<net::Packet> q_;
-    std::size_t bytes_ = 0;
     int drops_ = 0;
   };
 

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "net/drop_tail.hpp"
+#include "queue_test_util.hpp"
 #include "tcp/interval_set.hpp"
 #include "tcp/sack_scoreboard.hpp"
 #include "tcp_test_util.hpp"
@@ -223,76 +224,36 @@ TEST(IntervalSet, FuzzSegmentModeAgainstMapReference) {
 // ------------------------------------------------------------ TLP epoch
 
 /// Queue that delivers the first `pass` arrivals, then drops everything.
-class BlackholeAfterQueue final : public net::QueueDiscipline {
+class BlackholeAfterQueue final : public testutil::FilterQueue {
  public:
   BlackholeAfterQueue(std::size_t capacity, std::uint64_t pass)
-      : QueueDiscipline(capacity), pass_(pass) {}
+      : FilterQueue(capacity), pass_(pass) {}
 
-  std::size_t packet_count() const override { return q_.size(); }
-  std::size_t byte_count() const override { return bytes_; }
   std::string name() const override { return "BlackholeAfter"; }
 
  protected:
-  bool do_enqueue(net::Packet&& p, Time) override {
-    if (++arrivals_ > pass_ || q_.size() >= capacity_) {
-      count_drop(p);
-      return false;
-    }
-    bytes_ += p.size_bytes;
-    q_.push_back(std::move(p));
-    return true;
-  }
-  std::optional<net::Packet> do_dequeue(Time) override {
-    if (q_.empty()) return std::nullopt;
-    net::Packet p = std::move(q_.front());
-    q_.pop_front();
-    bytes_ -= p.size_bytes;
-    return p;
-  }
+  bool reject(const net::Packet&) override { return ++arrivals_ > pass_; }
 
  private:
-  std::deque<net::Packet> q_;
-  std::size_t bytes_ = 0;
   std::uint64_t arrivals_ = 0;
   std::uint64_t pass_;
 };
 
 /// Queue that drops the first arrival of each listed TCP sequence.
-class SeqOnceDropQueue final : public net::QueueDiscipline {
+class SeqOnceDropQueue final : public testutil::FilterQueue {
  public:
   SeqOnceDropQueue(std::size_t capacity, std::set<std::uint64_t> seqs)
-      : QueueDiscipline(capacity), seqs_(std::move(seqs)) {}
+      : FilterQueue(capacity), seqs_(std::move(seqs)) {}
 
-  std::size_t packet_count() const override { return q_.size(); }
-  std::size_t byte_count() const override { return bytes_; }
   std::string name() const override { return "SeqOnceDrop"; }
 
  protected:
-  bool do_enqueue(net::Packet&& p, Time) override {
-    if (p.proto == net::Protocol::kTcp && p.tcp.payload > 0 &&
-        seqs_.erase(p.tcp.seq) > 0) {
-      count_drop(p);
-      return false;
-    }
-    if (q_.size() >= capacity_) {
-      count_drop(p);
-      return false;
-    }
-    bytes_ += p.size_bytes;
-    q_.push_back(std::move(p));
-    return true;
-  }
-  std::optional<net::Packet> do_dequeue(Time) override {
-    if (q_.empty()) return std::nullopt;
-    net::Packet p = std::move(q_.front());
-    q_.pop_front();
-    bytes_ -= p.size_bytes;
-    return p;
+  bool reject(const net::Packet& p) override {
+    return p.proto == net::Protocol::kTcp && p.tcp.payload > 0 &&
+           seqs_.erase(p.tcp.seq) > 0;
   }
 
  private:
-  std::deque<net::Packet> q_;
-  std::size_t bytes_ = 0;
   std::set<std::uint64_t> seqs_;
 };
 

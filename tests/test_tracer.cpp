@@ -58,6 +58,10 @@ TEST(Tracer, TracingQueueReportsEnqueueAndDrop) {
   EXPECT_EQ(enq, 3u);   // 1 in service + 2 buffered
   EXPECT_EQ(drop, 3u);
   EXPECT_EQ(link.queue().stats().drop_rate(), 0.5);
+  // The inner discipline returned each dropped slot to the link's pool
+  // exactly once, and every admitted packet's slot came back on delivery.
+  EXPECT_EQ(link.pool_stats().acquired, 6u);
+  EXPECT_EQ(link.pool_stats().released, 6u);
 }
 
 TEST(Tracer, CapacityBounded) {
