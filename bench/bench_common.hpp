@@ -4,10 +4,13 @@
 //   --scale <f>   scale probe repetitions / measurement durations (default 1)
 //   --seed <n>    master seed (default 1)
 //   --jobs <n>    worker threads for grid sweeps (default 1; 0 = all cores)
-//   --shards <n>  PDES engine shards within one scenario (default 0 =
-//                 bench-specific default: figure benches 1, bench_pdes its
-//                 full scaling curve). Stdout is byte-identical across
-//                 values -- the --shards determinism gate in CI pins it.
+//   --shards <n>  PDES engine shards within one scenario, read by the
+//                 engine-scale benches (bench_pdes: default 0 = its full
+//                 scaling curve; bench_megaflows: default 1). The figure
+//                 and table benches accept and ignore it: their dumbbell
+//                 testbeds always run on one scheduler. Stdout is
+//                 byte-identical across values -- the --shards
+//                 determinism gate in CI pins it.
 //   --csv         also emit CSV after the rendered table
 //   --no-color    render tone tags instead of ANSI colors
 //   --quick       CI smoke mode: quarter probe budget on top of --scale
@@ -133,8 +136,8 @@ struct BenchOptions {
   double scale = 1.0;
   std::uint64_t seed = 1;
   unsigned jobs = 1;  ///< sweep worker threads; 0 = hardware concurrency
-  /// PDES shards per scenario; 0 = bench default (figure benches: 1,
-  /// bench_pdes: run its whole scaling curve).
+  /// PDES shards per scenario; 0 = bench default. Only the engine-scale
+  /// benches read it (bench_pdes: run its whole scaling curve).
   unsigned shards = 0;
   bool csv = false;
   bool color = true;
@@ -271,17 +274,13 @@ inline core::ScenarioConfig make_scenario(core::TestbedType testbed,
                                           core::WorkloadType workload,
                                           core::CongestionDirection direction,
                                           std::size_t buffer,
-                                          std::uint64_t seed,
-                                          unsigned shards = 0) {
+                                          std::uint64_t seed) {
   core::ScenarioConfig cfg;
   cfg.testbed = testbed;
   cfg.workload = workload;
   cfg.direction = direction;
   cfg.buffer_packets = buffer;
   cfg.tcp_cc = core::default_cc(testbed);
-  // --shards plumbing: advisory for the dumbbell testbeds (see
-  // ScenarioConfig::shards), honored by engine-scale scenarios.
-  cfg.shards = shards == 0 ? 1 : shards;
   // Deterministic per-cell seed (direction as salt): structurally identical
   // cells (e.g. short-few vs short-many upstream-only) still see independent
   // stochastic runs, and the value never depends on evaluation order.
@@ -323,7 +322,7 @@ void run_ablation_grid(const BenchOptions& opt,
     auto cfg = make_scenario(core::TestbedType::kAccess,
                              core::WorkloadType::kLongFew,
                              core::CongestionDirection::kUpstream,
-                             cases[i].buffer, opt.seed, opt.shards);
+                             cases[i].buffer, opt.seed);
     mutate(cfg, cases[i].variant);
     return AblationCell{runner.run_qos(cfg), runner.run_voip(cfg, true),
                         runner.run_web(cfg)};

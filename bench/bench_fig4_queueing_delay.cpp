@@ -4,8 +4,10 @@
 // heatmap showing the uplink and downlink buffers separately. Cells are
 // colored by ITU-T G.114 delay classes, as in the paper.
 // --trace <path> additionally streams a binary per-packet trace of every
-// cell's bottleneck links (downlink point 0, uplink point 1) to <path>;
-// see net/trace_binary.hpp for the format and tools/trace for conversion.
+// cell's bottleneck links (downlink point 0, uplink point 1) to <path>:
+// the buffers' enqueue/drop/mark events and the links' transmit/deliver
+// events, 1 in 8 packets sampled; see net/trace_binary.hpp for the format
+// and tools/trace for conversion.
 #include <algorithm>
 #include <fstream>
 

@@ -115,15 +115,6 @@ struct ScenarioConfig {
   /// with drop-tail bottlenecks or UDP probes.
   bool ecn = false;
   std::uint64_t seed = 1;
-  /// Worker shards for the conservative-PDES engine (core/sharded_engine).
-  /// The paper-figure testbeds are small dumbbells whose internal delays
-  /// sit below any useful lookahead floor -- one short-link cluster -- so
-  /// ExperimentRunner always runs them on the single-scheduler path and
-  /// this field is advisory there (which is exactly why figure output is
-  /// byte-identical across --shards; the CI gate pins that). Engine-scale
-  /// benches (bench_pdes) honor it. Deliberately not part of label(): a
-  /// cell's identity is independent of how many threads execute it.
-  unsigned shards = 1;
 
   AccessParams access;
   BackboneParams backbone;

@@ -9,9 +9,9 @@ namespace qoesim::net {
 CoDelQueue::CoDelQueue(std::size_t capacity_packets, CoDelParams params)
     : QueueDiscipline(capacity_packets), params_(params) {}
 
-QOESIM_HOT bool CoDelQueue::do_enqueue(SlotId slot, Time /*now*/) {
+QOESIM_HOT bool CoDelQueue::do_enqueue(SlotId slot, Time now) {
   if (q_.size() >= capacity_) {
-    drop(slot);
+    drop(slot, now);
     return false;
   }
   bytes_ += packet(slot).size_bytes;
@@ -69,12 +69,12 @@ QOESIM_HOT CoDelQueue::SlotId CoDelQueue::do_dequeue(Time now) {
         // would drop and deliver it; the dropping state and its schedule
         // advance exactly as if it had been dropped.
         if (can_mark(packet(slot))) {
-          apply_mark(packet(slot));
+          apply_mark(packet(slot), now);
           ++drop_count_;
           drop_next_ = control_law(drop_next_);
           return slot;
         }
-        drop(slot);
+        drop(slot, now);
         ++drop_count_;
         slot = pop_head(now, ok);
         if (slot == PacketPool::kNil) {
@@ -94,9 +94,9 @@ QOESIM_HOT CoDelQueue::SlotId CoDelQueue::do_dequeue(Time now) {
     // marked packet itself when marking).
     const bool mark = can_mark(packet(slot));
     if (mark) {
-      apply_mark(packet(slot));
+      apply_mark(packet(slot), now);
     } else {
-      drop(slot);
+      drop(slot, now);
     }
     dropping_ = true;
     // RFC 8289 §4.3 hysteresis: on a quick re-entry (less than 16

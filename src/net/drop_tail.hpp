@@ -24,9 +24,9 @@ class DropTailQueue final : public QueueDiscipline {
   std::string name() const override { return "DropTail"; }
 
  protected:
-  QOESIM_HOT bool do_enqueue(SlotId slot, Time /*now*/) override {
+  QOESIM_HOT bool do_enqueue(SlotId slot, Time now) override {
     if (q_.size() >= capacity_) {
-      drop(slot);
+      drop(slot, now);
       return false;
     }
     bytes_ += packet(slot).size_bytes;

@@ -25,13 +25,13 @@ PriorityQueue::PriorityQueue(std::size_t capacity_packets,
   low_capacity_ = capacity_packets - high_capacity_;
 }
 
-QOESIM_HOT bool PriorityQueue::do_enqueue(SlotId slot, Time /*now*/) {
+QOESIM_HOT bool PriorityQueue::do_enqueue(SlotId slot, Time now) {
   const Packet& p = packet(slot);
   const bool high = is_high_priority(p);
   Ring<SlotId>& band = high ? high_ : low_;
   if (band.size() >= (high ? high_capacity_ : low_capacity_)) {
     ++(high ? high_drops_ : low_drops_);
-    drop(slot);
+    drop(slot, now);
     return false;
   }
   bytes_ += p.size_bytes;

@@ -21,6 +21,9 @@ QOESIM_HOT bool QueueDiscipline::enqueue(SlotId slot, Time now) {
     ++stats_.enqueued;
     stats_.max_packets_seen =
         std::max<std::uint64_t>(stats_.max_packets_seen, packet_count());
+    if (tracer_ != nullptr) {
+      tracer_->record(p, now, TraceEvent::kEnqueue, trace_point_);
+    }
   }
   return accepted;
 }

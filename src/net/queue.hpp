@@ -11,6 +11,12 @@
 // packet_pool.hpp); the discipline holds their 4-byte slot ids in a Ring,
 // reads or CE-marks a packet in place through the pool, and returns the
 // slot to the pool when it drops the packet, at the tail or at dequeue.
+//
+// The base class is also the one place queue events are traced: with a
+// BinaryTracer set (BinaryTracer::observe_link does it for a link's
+// queue), enqueue(), drop() and apply_mark() record kEnqueue, kDrop and
+// kMark, so every discipline's tail, early and head drops are traced
+// alike. Without a tracer the cost is one null-pointer branch each.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +26,7 @@
 #include "core/annotations.hpp"
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
+#include "net/trace_binary.hpp"
 #include "sim/time.hpp"
 
 namespace qoesim::net {
@@ -58,7 +65,15 @@ class QueueDiscipline {
   /// Bind the pool holding this discipline's packets. The Link does this
   /// when it is built; a discipline driven on its own needs a pool
   /// attached before its first enqueue.
-  virtual void attach(PacketPool& pool) { pool_ = &pool; }
+  void attach(PacketPool& pool) { pool_ = &pool; }
+
+  /// Record this discipline's enqueue/drop/mark events into `tracer`
+  /// (nullptr stops tracing), tagged with tap point `point`. The tracer
+  /// must outlive every later enqueue/dequeue.
+  void set_tracer(BinaryTracer* tracer, std::uint16_t point) {
+    tracer_ = tracer;
+    trace_point_ = point;
+  }
 
   /// Offer the packet in pool slot `slot` at time `now`. Returns true if
   /// admitted; on admission the packet's `enqueued_at` is stamped for
@@ -84,7 +99,7 @@ class QueueDiscipline {
   /// would otherwise early-drop (RFC 3168 §5 / RFC 8289 §4.2). Hard tail
   /// drops of a full buffer still drop, and Not-ECT packets are always
   /// dropped. Disciplines without an early-drop decision ignore the flag.
-  virtual void set_ecn_marking(bool on) { ecn_marking_ = on; }
+  void set_ecn_marking(bool on) { ecn_marking_ = on; }
   bool ecn_marking() const { return ecn_marking_; }
 
   std::size_t capacity_packets() const { return capacity_; }
@@ -93,7 +108,7 @@ class QueueDiscipline {
 
  protected:
   /// Admission decision + storage; return true if stored. A discipline
-  /// that refuses the packet calls drop(slot) before returning false.
+  /// that refuses the packet calls drop(slot, now) before returning false.
   virtual bool do_enqueue(SlotId slot, Time now) = 0;
   virtual SlotId do_dequeue(Time now) = 0;
 
@@ -105,11 +120,16 @@ class QueueDiscipline {
     return pool_->at(slot);
   }
 
-  /// Count the packet in `slot` as dropped and return the slot to the pool.
-  void drop(SlotId slot) {
+  /// Count (and trace) the packet in `slot` as dropped at `now` and
+  /// return the slot to the pool.
+  void drop(SlotId slot, Time now) {
     shard_plane.assert_held();
+    const Packet& p = pool_->at(slot);
     ++stats_.dropped;
-    stats_.bytes_dropped += pool_->at(slot).size_bytes;
+    stats_.bytes_dropped += p.size_bytes;
+    if (tracer_ != nullptr) {
+      tracer_->record(p, now, TraceEvent::kDrop, trace_point_);
+    }
     pool_->discard(slot);
   }
 
@@ -118,16 +138,22 @@ class QueueDiscipline {
     return ecn_marking_ && is_ect(p.ecn);
   }
 
-  /// Apply a CE mark in place of a drop (caller keeps/delivers the packet).
-  void apply_mark(Packet& p) {
+  /// Apply a CE mark at `now` in place of a drop (caller keeps/delivers
+  /// the packet).
+  void apply_mark(Packet& p, Time now) {
     p.ecn = Ecn::kCe;
     ++stats_.marked;
+    if (tracer_ != nullptr) {
+      tracer_->record(p, now, TraceEvent::kMark, trace_point_);
+    }
   }
 
   std::size_t capacity_;
   QueueStats stats_;
   bool ecn_marking_ = false;
   PacketPool* pool_ = nullptr;
+  BinaryTracer* tracer_ = nullptr;
+  std::uint16_t trace_point_ = 0;
 };
 
 /// Which discipline to instantiate (scenario configuration).

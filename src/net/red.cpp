@@ -75,9 +75,9 @@ QOESIM_HOT bool RedQueue::do_enqueue(SlotId slot, Time now) {
     // and admits them; the congestion signal reaches the sender without
     // losing the packet. A full buffer still has to drop.
     if (!hard && can_mark(p)) {
-      apply_mark(p);
+      apply_mark(p, now);
     } else {
-      drop(slot);
+      drop(slot, now);
       return false;
     }
   }

@@ -3,7 +3,20 @@
 #include <istream>
 #include <ostream>
 
+#include "net/link.hpp"
+
 namespace qoesim::net {
+
+const char* to_string(TraceEvent e) {
+  switch (e) {
+    case TraceEvent::kEnqueue: return "enqueue";
+    case TraceEvent::kDrop: return "drop";
+    case TraceEvent::kTransmit: return "transmit";
+    case TraceEvent::kMark: return "mark";
+    case TraceEvent::kDeliver: return "deliver";
+  }
+  return "?";
+}
 
 namespace {
 
@@ -107,6 +120,7 @@ BinaryTracer::BinaryTracer(Config cfg) : cfg_(cfg) {
 }
 
 void BinaryTracer::observe_link(Link& link, std::uint16_t point) {
+  link.queue().set_tracer(this, point);
   link.add_tx_observer([this, point](const Packet& p, Time now) {
     record(p, now, TraceEvent::kTransmit, point);
   });
@@ -161,7 +175,12 @@ bool read_trace(std::istream& in, std::vector<BinRecord>* out,
   }
   std::uint8_t rec[kTraceRecordBytes];
   while (in.read(reinterpret_cast<char*>(rec), sizeof(rec))) {
-    out->push_back(decode_record(rec));
+    const BinRecord r = decode_record(rec);
+    if (static_cast<std::size_t>(r.event) >= kTraceEventCount) {
+      if (error) *error = "trace: bad event code in record";
+      return false;
+    }
+    out->push_back(r);
   }
   if (in.gcount() != 0) {
     if (error) *error = "trace: truncated record at end of stream";

@@ -7,6 +7,20 @@
 // full event rate; deterministic 1-in-N packet sampling (by uid hash, so
 // all events of one packet sample together) keeps long sweeps cheap.
 //
+// observe_link() taps one link at one point id. Two layers emit the five
+// events:
+//   - the link's QueueDiscipline (queue.hpp): kEnqueue on admission, kDrop
+//     for every drop (tail, RED early drop, CoDel head drop at dequeue),
+//     kMark for every ECN CE mark (RED at enqueue, CoDel at dequeue);
+//   - the Link: kTransmit when serialization completes, kDeliver when
+//     propagation completes, just before the sink.
+// Within one packet at one timestamp the order is fixed: a RED mark is
+// recorded before the kEnqueue of the admission that applied it; an
+// arrival drop is a lone kDrop (no kEnqueue); a CoDel head drop or mark
+// follows the packet's kEnqueue and is stamped with the dequeue time.
+// kTransmit and kDeliver follow at their own times. Records of different
+// packets appear in simulation event order.
+//
 // The on-disk format is a 16-byte header followed by records; the record
 // count is derived from the remaining file size, so per-cell trace bodies
 // can be concatenated under one header in deterministic sweep order --
@@ -41,12 +55,27 @@
 #include <string>
 #include <vector>
 
-#include "net/link.hpp"
 #include "net/packet.hpp"
-#include "net/tracer.hpp"
 #include "sim/annotations.hpp"
+#include "sim/time.hpp"
 
 namespace qoesim::net {
+
+class Link;
+
+enum class TraceEvent : std::uint8_t {
+  kEnqueue,
+  kDrop,
+  kTransmit,  ///< serialization complete, packet on the wire
+  kMark,      ///< AQM applied an ECN CE mark
+  kDeliver,   ///< propagation complete, packet handed to the link sink
+};
+
+/// Number of TraceEvent codes; a record's event byte is below this.
+inline constexpr std::size_t kTraceEventCount =
+    static_cast<std::size_t>(TraceEvent::kDeliver) + 1;
+
+const char* to_string(TraceEvent e);
 
 inline constexpr std::uint32_t kTraceMagic = 0x43525451u;  // "QTRC" LE
 inline constexpr std::uint8_t kTraceVersion = 1;
@@ -104,7 +133,9 @@ class BinaryTracer {
   BinaryTracer();  // default Config
   explicit BinaryTracer(Config cfg);
 
-  /// Record transmit and deliver events on `link`, tagged with `point`.
+  /// Record the events of `link` and of its queue discipline, tagged with
+  /// `point`. A link can be observed by several tracers; its queue reports
+  /// to the one that observed it last.
   void observe_link(Link& link, std::uint16_t point);
 
   /// Append one record (allocation-free; drops + counts when full).
@@ -132,7 +163,8 @@ class BinaryTracer {
 };
 
 /// Parse a trace stream (header + records). Returns false and sets
-/// `error` on malformed input; a truncated trailing record is an error.
+/// `error` on malformed input; a truncated trailing record or an event
+/// byte outside TraceEvent is an error.
 bool read_trace(std::istream& in, std::vector<BinRecord>* out,
                 std::string* error);
 

@@ -136,7 +136,8 @@ std::size_t write_pcap(const std::vector<BinRecord>& records,
 
 void write_trace_text(const std::vector<BinRecord>& records,
                       std::ostream& out) {
-  const char* event_names[] = {"enqueue", "drop", "tx", "mark", "deliver"};
+  const char* event_names[kTraceEventCount] = {"enqueue", "drop", "tx",
+                                               "mark", "deliver"};
   const char* ecn_names[] = {"notect", "ect1", "ect0", "ce"};
   char line[256];
   for (const auto& r : records) {
@@ -154,7 +155,7 @@ void write_trace_text(const std::vector<BinRecord>& records,
         " n%u:%u>n%u:%u seq=%" PRIu64 " ack=%" PRIu64
         " len=%u wire=%u flags=%s ecn=%s",
         r.t_ns / 1000000000, r.t_ns % 1000000000, r.point,
-        ev < 5 ? event_names[ev] : "?",
+        ev < kTraceEventCount ? event_names[ev] : "?",
         r.proto == Protocol::kTcp ? "tcp" : "udp", r.uid, r.flow, r.src,
         r.src_port, r.dst, r.dst_port, r.seq, r.ack, r.payload, r.wire_bytes,
         flags, static_cast<std::size_t>(r.ecn) < 4

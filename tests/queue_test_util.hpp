@@ -8,15 +8,25 @@
 //
 // FilterQueue is the drop-tail FIFO the transport tests derive their loss
 // injectors from: a subclass decides per arrival whether to refuse it.
+//
+// read_back() and count_events() inspect what a BinaryTracer recorded,
+// through the same write/read_trace path a trace file takes.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/annotations.hpp"
 #include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 #include "net/ring.hpp"
+#include "net/trace_binary.hpp"
 
 namespace qoesim::testutil {
 
@@ -64,9 +74,9 @@ class FilterQueue : public net::QueueDiscipline {
  protected:
   virtual bool reject(const net::Packet& p) = 0;
 
-  bool do_enqueue(SlotId slot, Time) override {
+  bool do_enqueue(SlotId slot, Time now) override {
     if (reject(packet(slot)) || q_.size() >= capacity_) {
-      drop(slot);
+      drop(slot, now);
       return false;
     }
     bytes_ += packet(slot).size_bytes;
@@ -86,5 +96,22 @@ class FilterQueue : public net::QueueDiscipline {
   net::Ring<SlotId> q_;
   std::size_t bytes_ = 0;
 };
+
+/// Every record `tracer` holds, written out and parsed back as a file.
+inline std::vector<net::BinRecord> read_back(const net::BinaryTracer& tracer) {
+  std::stringstream s;
+  tracer.write(s);
+  std::vector<net::BinRecord> records;
+  std::string error;
+  if (!net::read_trace(s, &records, &error)) ADD_FAILURE() << error;
+  return records;
+}
+
+inline std::size_t count_events(const std::vector<net::BinRecord>& records,
+                                net::TraceEvent e) {
+  return static_cast<std::size_t>(
+      std::count_if(records.begin(), records.end(),
+                    [e](const net::BinRecord& r) { return r.event == e; }));
+}
 
 }  // namespace qoesim::testutil

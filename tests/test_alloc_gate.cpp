@@ -6,22 +6,26 @@
 // until every pool, ring and scheduler arena has reached its peak
 // population, and then counts heap allocations over a measurement window.
 // The window must allocate nothing, under every queue discipline, with
-// and without ECN marking. UDP only: TCP's lazily attached cold loss
-// state allocates by design and would hide a regression in the link
-// layer.
+// and without ECN marking, and with a BinaryTracer recording the
+// bottleneck's queue and link events into its preallocated buffer. UDP
+// only: TCP's lazily attached cold loss state allocates by design and
+// would hide a regression in the link layer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "net/queue.hpp"
 #include "net/topology.hpp"
+#include "net/trace_binary.hpp"
 #include "sim/simulation.hpp"
+#include "queue_test_util.hpp"
 
 namespace {
 
@@ -70,6 +74,7 @@ struct GateCase {
   const char* name;
   QueueKind kind;
   bool ecn;
+  bool traced;
 };
 
 /// Constant-rate UDP source: one packet per `interval`, re-armed from its
@@ -112,6 +117,7 @@ class AllocGate : public ::testing::TestWithParam<GateCase> {};
 TEST_P(AllocGate, SteadyStateForwardingAllocatesNothing) {
   const GateCase& gc = GetParam();
   Simulation sim(7);
+  std::optional<BinaryTracer> tracer;  // outlives the links it observes
   Topology topo(sim);
   Node& s1 = topo.add_node("s1");
   Node& s2 = topo.add_node("s2");
@@ -135,6 +141,15 @@ TEST_P(AllocGate, SteadyStateForwardingAllocatesNothing) {
   topo.connect(r2, sink, access, access);
   topo.compute_routes();
 
+  // Sized up front for the whole run (~2 k offered packets/s, at most 3
+  // records each), so the window never reaches the overflow path.
+  BinaryTracer::Config trace_cfg;
+  trace_cfg.capacity_records = 1 << 16;
+  if (gc.traced) {
+    tracer.emplace(trace_cfg);
+    tracer->observe_link(*core.forward, 0);
+  }
+
   std::uint64_t received = 0;
   sink.bind_listener(Protocol::kUdp, kSinkPort,
                      [&received](Packet&&) { ++received; });
@@ -149,6 +164,7 @@ TEST_P(AllocGate, SteadyStateForwardingAllocatesNothing) {
   sim.run_until(Time::seconds(2));  // warm-up: every pool reaches its peak
   const QueueStats before = core.forward->queue().stats();
   const std::uint64_t received_before = received;
+  const std::size_t records_before = tracer ? tracer->records() : 0;
 
   g_allocs.store(0);
   g_counting.store(true);
@@ -164,6 +180,17 @@ TEST_P(AllocGate, SteadyStateForwardingAllocatesNothing) {
     EXPECT_GT(after.marked, before.marked);
   }
   EXPECT_EQ(topo.node_stats().undelivered, 0u);
+  if (tracer) {
+    EXPECT_GT(tracer->records(), records_before);
+    EXPECT_EQ(tracer->overflow(), 0u);
+    const auto records = testutil::read_back(*tracer);
+    EXPECT_EQ(testutil::count_events(records, TraceEvent::kEnqueue),
+              after.enqueued);
+    EXPECT_EQ(testutil::count_events(records, TraceEvent::kDrop),
+              after.dropped);
+    EXPECT_EQ(testutil::count_events(records, TraceEvent::kMark),
+              after.marked);
+  }
   // ...and allocated nothing doing so.
   EXPECT_EQ(allocs, 0u) << gc.name << ": " << allocs
                         << " heap allocations in the steady-state window";
@@ -171,12 +198,17 @@ TEST_P(AllocGate, SteadyStateForwardingAllocatesNothing) {
 
 INSTANTIATE_TEST_SUITE_P(
     Disciplines, AllocGate,
-    ::testing::Values(GateCase{"DropTail", QueueKind::kDropTail, false},
-                      GateCase{"RED", QueueKind::kRed, false},
-                      GateCase{"RED_ECN", QueueKind::kRed, true},
-                      GateCase{"CoDel", QueueKind::kCoDel, false},
-                      GateCase{"CoDel_ECN", QueueKind::kCoDel, true},
-                      GateCase{"Priority", QueueKind::kPriority, false}),
+    ::testing::Values(
+        GateCase{"DropTail", QueueKind::kDropTail, false, false},
+        GateCase{"RED", QueueKind::kRed, false, false},
+        GateCase{"RED_ECN", QueueKind::kRed, true, false},
+        GateCase{"CoDel", QueueKind::kCoDel, false, false},
+        GateCase{"CoDel_ECN", QueueKind::kCoDel, true, false},
+        GateCase{"Priority", QueueKind::kPriority, false, false},
+        GateCase{"DropTail_Traced", QueueKind::kDropTail, false, true},
+        GateCase{"RED_ECN_Traced", QueueKind::kRed, true, true},
+        GateCase{"CoDel_Traced", QueueKind::kCoDel, false, true},
+        GateCase{"CoDel_ECN_Traced", QueueKind::kCoDel, true, true}),
     [](const ::testing::TestParamInfo<GateCase>& info) {
       return std::string(info.param.name);
     });

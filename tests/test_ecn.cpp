@@ -12,7 +12,7 @@
 #include "net/packet.hpp"
 #include "net/red.hpp"
 #include "net/topology.hpp"
-#include "net/tracer.hpp"
+#include "net/trace_binary.hpp"
 #include "sim/simulation.hpp"
 #include "tcp/tcp_server.hpp"
 #include "tcp/tcp_socket.hpp"
@@ -151,24 +151,32 @@ TEST(EcnCoDel, NotEctTrafficStillDropsWithMarkingEnabled) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracer: marks surface as kMark records through a TracingQueue.
+// Tracer: marks surface as kMark records of the discipline itself.
 
-TEST(EcnTracer, TracingQueueRecordsMarksAndForwardsSwitch) {
-  net::PacketTracer tracer;
-  auto inner = std::make_unique<CoDelQueue>(1000);
-  net::TracingQueue q(std::move(inner), tracer, "bottleneck");
-  testutil::PooledQueue pq(q);  // attach() reaches the wrapped CoDel
-  q.set_ecn_marking(true);  // must reach the wrapped CoDel
+TEST(EcnTracer, CoDelMarksRecordedAsTraceEvents) {
+  CoDelQueue q(1000);
+  testutil::PooledQueue pq(q);
+  net::BinaryTracer::Config cfg;
+  cfg.capacity_records = 4096;
+  net::BinaryTracer tracer(cfg);
+  q.set_tracer(&tracer, 0);
+  q.set_ecn_marking(true);
   Time t = Time::zero();
   for (int i = 0; i < 2000; ++i) {
     pq.offer(make_packet(Ecn::kEct0), t);
     t = t + Time::milliseconds(1);
     if (i >= 150) (void)pq.take(t);
   }
-  const auto marks = tracer.count(
-      [](const net::TraceRecord& r) { return r.event == net::TraceEvent::kMark; });
+  ASSERT_EQ(tracer.overflow(), 0u);
+  const auto records = testutil::read_back(tracer);
+  const auto marks = testutil::count_events(records, net::TraceEvent::kMark);
   EXPECT_GT(marks, 0u);
   EXPECT_EQ(marks, q.stats().marked);
+  for (const auto& r : records) {
+    if (r.event == net::TraceEvent::kMark) {
+      EXPECT_EQ(r.ecn, Ecn::kCe);
+    }
+  }
   EXPECT_STREQ(net::to_string(net::TraceEvent::kMark), "mark");
 }
 

@@ -1,10 +1,12 @@
 // Discipline-conformance suite: invariants every QueueDiscipline must hold
-// under randomized load, plus targeted regression tests for the
-// PriorityQueue capacity split, RED idle decay / per-instance seeding, and
-// the CoDel RFC 8289 count hysteresis.
+// under randomized load (stats, byte accounting, trace/stat agreement),
+// plus targeted regression tests for the PriorityQueue capacity split, RED
+// idle decay / per-instance seeding, and the CoDel RFC 8289 count
+// hysteresis.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "net/queue.hpp"
 #include "net/red.hpp"
 #include "net/topology.hpp"
+#include "net/trace_binary.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "queue_test_util.hpp"
@@ -98,6 +101,83 @@ TEST_P(DisciplineConformance, EnqueueOnlyDisciplinesSplitOfferedExactly) {
     }
     ASSERT_EQ(q->stats().offered, q->stats().enqueued + q->stats().dropped);
     now += Time::microseconds(50);
+  }
+}
+
+TEST_P(DisciplineConformance, TraceAgreesWithStats) {
+  // Every queue event a discipline counts is also traced, one record per
+  // packet and event: tail, early and CoDel head drops alike, and marks
+  // at enqueue (RED) or dequeue (CoDel).
+  const auto [kind, capacity] = GetParam();
+  auto q = make_queue(kind, capacity, /*seed=*/4242);
+  testutil::PooledQueue pq(*q);
+  q->set_drain_rate(16e6);
+  q->set_ecn_marking(true);
+  BinaryTracer::Config cfg;
+  cfg.capacity_records = 1 << 15;
+  cfg.sample_every = 1;
+  BinaryTracer tracer(cfg);
+  q->set_tracer(&tracer, 3);
+  RandomStream rng(1234);
+  Time now = Time::zero();
+  for (int i = 0; i < 8000; ++i) {
+    if (rng.bernoulli(0.55)) {
+      const auto size =
+          static_cast<std::uint32_t>(rng.uniform_int(40, kMtuBytes));
+      const auto proto =
+          rng.bernoulli(0.3) ? Protocol::kUdp : Protocol::kTcp;
+      Packet p = make_packet(size, proto);
+      p.ecn = rng.bernoulli(0.5) ? Ecn::kEct0 : Ecn::kNotEct;
+      pq.offer(p, now);
+    } else {
+      (void)pq.take(now);
+    }
+    now += Time::microseconds(rng.uniform(1.0, 800.0));
+  }
+  ASSERT_EQ(tracer.overflow(), 0u);
+  const auto records = testutil::read_back(tracer);
+  const QueueStats& s = q->stats();
+  EXPECT_EQ(testutil::count_events(records, TraceEvent::kEnqueue), s.enqueued);
+  EXPECT_EQ(testutil::count_events(records, TraceEvent::kDrop), s.dropped);
+  EXPECT_EQ(testutil::count_events(records, TraceEvent::kMark), s.marked);
+
+  // A drop before the packet's kEnqueue is an arrival drop and must be
+  // its only admission outcome; a drop after it is a head drop.
+  struct Seen {
+    bool enqueued = false;
+    bool arrival_drop = false;
+  };
+  std::map<std::uint64_t, Seen> seen;
+  std::uint64_t arrival_drops = 0;
+  std::uint64_t head_drops = 0;
+  for (const BinRecord& r : records) {
+    ASSERT_EQ(r.point, 3u);
+    Seen& packet = seen[r.uid];
+    if (r.event == TraceEvent::kEnqueue) {
+      EXPECT_FALSE(packet.arrival_drop) << "uid " << r.uid;
+      EXPECT_FALSE(packet.enqueued) << "uid " << r.uid;
+      packet.enqueued = true;
+    } else if (r.event == TraceEvent::kDrop) {
+      if (packet.enqueued) {
+        ++head_drops;
+      } else {
+        packet.arrival_drop = true;
+        ++arrival_drops;
+      }
+    }
+  }
+  EXPECT_EQ(arrival_drops, s.offered - s.enqueued);
+  EXPECT_EQ(head_drops, s.dropped - arrival_drops);
+  if (kind == QueueKind::kCoDel) {
+    if (capacity >= 64) {
+      EXPECT_GT(head_drops, 0u);
+    }
+  } else {
+    EXPECT_EQ(head_drops, 0u);
+  }
+  if ((kind == QueueKind::kRed || kind == QueueKind::kCoDel) &&
+      capacity >= 64) {
+    EXPECT_GT(s.marked, 0u);
   }
 }
 

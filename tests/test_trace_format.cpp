@@ -166,6 +166,22 @@ TEST(TraceFormat, ReadRejectsMalformedStreams) {
   truncated.write("0123456789", 10);  // partial record
   EXPECT_FALSE(net::read_trace(truncated, &records, &error));
   EXPECT_NE(error.find("truncated"), std::string::npos);
+
+  std::uint8_t rec[net::kTraceRecordBytes];
+  net::encode_record(make_tcp_packet(), Time::zero(),
+                     net::TraceEvent::kDeliver, 0, rec);
+  std::stringstream last_event;
+  net::BinaryTracer::write_header(last_event);
+  last_event.write(reinterpret_cast<const char*>(rec), sizeof(rec));
+  EXPECT_TRUE(net::read_trace(last_event, &records, &error)) << error;
+
+  rec[62] = static_cast<std::uint8_t>(net::kTraceEventCount);
+  std::stringstream bad_event;
+  net::BinaryTracer::write_header(bad_event);
+  bad_event.write(reinterpret_cast<const char*>(rec), sizeof(rec));
+  error.clear();
+  EXPECT_FALSE(net::read_trace(bad_event, &records, &error));
+  EXPECT_NE(error.find("bad event"), std::string::npos);
 }
 
 TEST(TraceFormat, PcapGoldenBytes) {

@@ -1,15 +1,19 @@
-// Packet tracer tests.
-#include "net/tracer.hpp"
+// Packet tracer tests: a BinaryTracer observing a link records the link's
+// transmit/deliver events and its queue discipline's enqueue/drop events.
+#include "net/trace_binary.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "net/drop_tail.hpp"
+#include "net/link.hpp"
 #include "sim/simulation.hpp"
+#include "queue_test_util.hpp"
 
 namespace qoesim::net {
 namespace {
+
+using testutil::count_events;
+using testutil::read_back;
 
 // Packet uids are diagnostics-only and simulation-owned; tests that
 // build raw packets stamp them from a file-local counter.
@@ -24,83 +28,87 @@ Packet make_packet(std::uint32_t size = 100) {
   return p;
 }
 
+BinaryTracer::Config small_tracer() {
+  BinaryTracer::Config cfg;
+  cfg.capacity_records = 1024;
+  return cfg;
+}
+
 TEST(Tracer, RecordsLinkTransmissions) {
   Simulation sim;
   Link link(sim, "dsl-up", 1e6, Time::zero(),
             std::make_unique<DropTailQueue>(10));
   link.set_sink([](Packet&&) {});
-  PacketTracer tracer;
-  tracer.observe_link(link);
+  BinaryTracer tracer(small_tracer());
+  tracer.observe_link(link, 7);
   for (int i = 0; i < 3; ++i) link.send(make_packet(1250));
   sim.run();
-  ASSERT_EQ(tracer.records().size(), 3u);
-  EXPECT_EQ(tracer.records()[0].event, TraceEvent::kTransmit);
-  EXPECT_EQ(tracer.records()[0].point, "dsl-up");
-  EXPECT_EQ(tracer.records()[0].at, Time::milliseconds(10));
-  EXPECT_EQ(tracer.records()[2].at, Time::milliseconds(30));
+  const auto records = read_back(tracer);
+  EXPECT_EQ(count_events(records, TraceEvent::kEnqueue), 3u);
+  EXPECT_EQ(count_events(records, TraceEvent::kDeliver), 3u);
+  std::vector<BinRecord> tx;
+  for (const auto& r : records) {
+    EXPECT_EQ(r.point, 7u);
+    if (r.event == TraceEvent::kTransmit) tx.push_back(r);
+  }
+  ASSERT_EQ(tx.size(), 3u);
+  EXPECT_EQ(tx[0].t_ns, Time::milliseconds(10).ns());
+  EXPECT_EQ(tx[0].src, 1u);
+  EXPECT_EQ(tx[0].dst, 2u);
+  EXPECT_EQ(tx[0].wire_bytes, 1250u);
+  EXPECT_EQ(tx[2].t_ns, Time::milliseconds(30).ns());
 }
 
-TEST(Tracer, TracingQueueReportsEnqueueAndDrop) {
+TEST(Tracer, QueueReportsEnqueueAndDrop) {
   Simulation sim;
-  PacketTracer tracer;
-  Link link(sim, "l", 1e6, Time::zero(),
-            std::make_unique<TracingQueue>(std::make_unique<DropTailQueue>(2),
-                                           tracer, "bottleneck"));
+  Link link(sim, "l", 1e6, Time::zero(), std::make_unique<DropTailQueue>(2));
   link.set_sink([](Packet&&) {});
+  BinaryTracer tracer(small_tracer());
+  tracer.observe_link(link, 0);
   for (int i = 0; i < 6; ++i) link.send(make_packet(1250));
   sim.run();
-  const auto enq = tracer.count([](const TraceRecord& r) {
-    return r.event == TraceEvent::kEnqueue;
-  });
-  const auto drop = tracer.count([](const TraceRecord& r) {
-    return r.event == TraceEvent::kDrop;
-  });
-  EXPECT_EQ(enq, 3u);   // 1 in service + 2 buffered
-  EXPECT_EQ(drop, 3u);
+  const auto records = read_back(tracer);
+  // 1 in service + 2 buffered; the other 3 arrivals find the buffer full.
+  EXPECT_EQ(count_events(records, TraceEvent::kEnqueue), 3u);
+  EXPECT_EQ(count_events(records, TraceEvent::kDrop), 3u);
+  EXPECT_EQ(count_events(records, TraceEvent::kDrop),
+            link.queue().stats().dropped);
   EXPECT_EQ(link.queue().stats().drop_rate(), 0.5);
-  // The inner discipline returned each dropped slot to the link's pool
-  // exactly once, and every admitted packet's slot came back on delivery.
+  // The first three arrivals were admitted, the last three dropped on
+  // arrival, each recorded at its send time.
+  const std::uint64_t first_uid = records.front().uid;
+  for (const auto& r : records) {
+    if (r.event == TraceEvent::kDrop) {
+      EXPECT_GE(r.uid, first_uid + 3);
+      EXPECT_EQ(r.t_ns, 0);
+    }
+  }
+  // The discipline returned each dropped slot to the link's pool exactly
+  // once, and every admitted packet's slot came back on delivery.
   EXPECT_EQ(link.pool_stats().acquired, 6u);
   EXPECT_EQ(link.pool_stats().released, 6u);
-}
-
-TEST(Tracer, CapacityBounded) {
-  PacketTracer tracer(2);
-  TraceRecord r;
-  tracer.record(r);
-  tracer.record(r);
-  tracer.record(r);
-  EXPECT_EQ(tracer.records().size(), 2u);
-  EXPECT_EQ(tracer.overflow(), 1u);
-}
-
-TEST(Tracer, CsvOutput) {
-  Simulation sim;
-  Link link(sim, "l", 1e9, Time::zero(), std::make_unique<DropTailQueue>(4));
-  link.set_sink([](Packet&&) {});
-  PacketTracer tracer;
-  tracer.observe_link(link);
-  link.send(make_packet(100));
-  sim.run();
-  std::ostringstream out;
-  tracer.write_csv(out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("time_s,event,point"), std::string::npos);
-  EXPECT_NE(csv.find("transmit,l"), std::string::npos);
-  EXPECT_NE(csv.find("udp,1,2,100"), std::string::npos);
 }
 
 TEST(Tracer, MultipleObserversCoexist) {
   Simulation sim;
   Link link(sim, "l", 1e9, Time::zero(), std::make_unique<DropTailQueue>(4));
   link.set_sink([](Packet&&) {});
-  PacketTracer t1, t2;
-  t1.observe_link(link);
-  t2.observe_link(link);
+  BinaryTracer t1(small_tracer()), t2(small_tracer());
+  t1.observe_link(link, 1);
+  t2.observe_link(link, 2);
   link.send(make_packet());
   sim.run();
-  EXPECT_EQ(t1.records().size(), 1u);
-  EXPECT_EQ(t2.records().size(), 1u);
+  const auto r1 = read_back(t1);
+  const auto r2 = read_back(t2);
+  // Both see the link's events...
+  EXPECT_EQ(count_events(r1, TraceEvent::kTransmit), 1u);
+  EXPECT_EQ(count_events(r1, TraceEvent::kDeliver), 1u);
+  EXPECT_EQ(count_events(r2, TraceEvent::kTransmit), 1u);
+  EXPECT_EQ(count_events(r2, TraceEvent::kDeliver), 1u);
+  // ...and the queue reports to the tracer that observed it last.
+  EXPECT_EQ(count_events(r1, TraceEvent::kEnqueue), 0u);
+  EXPECT_EQ(count_events(r2, TraceEvent::kEnqueue), 1u);
+  EXPECT_EQ(r2.front().point, 2u);
 }
 
 }  // namespace
