@@ -12,8 +12,15 @@
 //                    fast path).
 //   rearm         -- cancel + fresh schedule per move (the pre-reschedule
 //                    idiom, kept for comparison).
+//   chain + RTO   -- 64 self-rearming chains (a link's tx-complete: one
+//                    push from each firing) plus one far-future timer per
+//                    chain that every firing of its chain moves later (a
+//                    TCP RTO pushed back on each ACK). The chain's re-arm
+//                    is the push that refills the fired event's vacant
+//                    heap root; the reschedule is a sift on a deep entry.
 //
 // Accepts the shared bench flags plus --quick (CI smoke: ~10x fewer ops).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -51,6 +58,36 @@ struct Ticker {
     }
   }
 };
+
+// One link-like chain: re-arms itself, then moves its RTO-like timer.
+struct ChainLink {
+  Scheduler* sched;
+  long* fired;
+  long limit;
+  EventHandle* rto;
+  void operator()() const {
+    if (++*fired > limit) return;
+    sched->schedule_in(Time::microseconds(10), *this);
+    rto->reschedule(sched->now() + Time::seconds(1));
+  }
+};
+
+double chain_with_rto(long fires, int chains) {
+  Scheduler sched;
+  sched.set_stats_fold(&bench::stats_registry().scheduler);
+  long fired = 0;
+  std::vector<EventHandle> rtos(static_cast<std::size_t>(chains));
+  for (int i = 0; i < chains; ++i) {
+    EventHandle& rto = rtos[static_cast<std::size_t>(i)];
+    rto = sched.schedule_at(Time::seconds(1), [] {});
+    sched.schedule_at(Time::nanoseconds(i),
+                      ChainLink{&sched, &fired, fires, &rto});
+  }
+  const auto t0 = Clock::now();
+  // The chains stop after `fires` firings; the timers then fire once.
+  sched.run();
+  return static_cast<double>(std::min(fired, fires)) / seconds_since(t0);
+}
 
 double steady_fire(long fires, int depth) {
   Scheduler sched;
@@ -143,6 +180,8 @@ void run(const bench::BenchOptions& opt) {
                  mops(reschedule_one(base))});
   table.add_row({"cancel+schedule rearm", std::to_string(base),
                  mops(rearm_one(base))});
+  table.add_row({"chain rearm + RTO reschedule (64 chains)",
+                 std::to_string(base), mops(chain_with_rto(base, 64))});
   bench::emit(table, opt, "Scheduler throughput");
 }
 

@@ -7,16 +7,21 @@
 // stored in place, so storing or moving one performs no heap allocation.
 // Larger callables transparently fall back to a single heap allocation.
 //
+// In-place construction: emplace(f) builds the callable straight into an
+// existing SmallFunction's buffer. The scheduler constructs each event's
+// callable this way directly in its arena slot, so a callable passed to
+// schedule_at/after is never moved on the way in; the one move left is
+// out of the slot when the event fires.
+//
 // Trivial-relocation fast path: an inline callable that is trivially
 // copyable and trivially destructible (a lambda capturing pointers, ids
 // and times by value -- the link's {this, slot} tx-complete event and
 // most timers) is moved with a fixed-size memcpy of the inline buffer and
 // never destroyed, instead of through the indirect move/destroy calls the
 // general case needs. The heap fallback's owning pointer is relocated the
-// same way (only its destroy stays indirect). A scheduled event is moved
-// several times on its way into and out of the scheduler's arena, so this
-// is a large share of what an event costs besides its heap sift. Event
-// order is unaffected: the scheduler orders on (when, seq) alone.
+// same way (only its destroy stays indirect). For such callables the
+// move out of the arena when an event fires, and the move of a prebuilt
+// SmallFunction into it, are a plain copy of the buffer.
 //
 // SmallCallback is the scheduler's void() instantiation.
 #pragma once
@@ -45,17 +50,7 @@ class SmallFunction<R(Args...)> {
                 !std::is_same_v<std::decay_t<F>, SmallFunction> &&
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   SmallFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = inline_ops<Fn>();
-    } else {
-      // Placement-new the Fn* itself so a pointer object formally lives
-      // in the buffer (plain reinterpret_cast stores would be UB under
-      // the C++ object-lifetime rules).
-      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = heap_ops<Fn>();
-    }
+    construct(std::forward<F>(f));
   }
 
   SmallFunction(SmallFunction&& other) noexcept { move_from(other); }
@@ -69,6 +64,21 @@ class SmallFunction<R(Args...)> {
   SmallFunction(const SmallFunction&) = delete;
   SmallFunction& operator=(const SmallFunction&) = delete;
   ~SmallFunction() { reset(); }
+
+  /// Replace the held callable with `f`, constructed in place in this
+  /// object's buffer (a SmallFunction argument is move-assigned instead).
+  /// If constructing `f` throws, *this is left empty.
+  template <typename F>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<std::decay_t<F>, SmallFunction>) {
+      *this = std::forward<F>(f);
+    } else {
+      static_assert(std::is_invocable_r_v<R, std::decay_t<F>&, Args...>,
+                    "SmallFunction::emplace: callable has the wrong signature");
+      reset();
+      construct(std::forward<F>(f));
+    }
+  }
 
   /// Destroy the held callable (and free its heap storage, if any).
   void reset() {
@@ -155,6 +165,23 @@ class SmallFunction<R(Args...)> {
         [](void* s) { delete heap_ptr<Fn>(s); },
     };
     return &ops;
+  }
+
+  // Precondition: empty. ops_ is set only once the callable exists, so a
+  // throwing constructor (or a failed heap allocation) leaves *this empty.
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (fits_inline<Fn>()) {
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+      ops_ = inline_ops<Fn>();
+    } else {
+      // Placement-new the Fn* itself so a pointer object formally lives
+      // in the buffer (plain reinterpret_cast stores would be UB under
+      // the C++ object-lifetime rules).
+      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
+      ops_ = heap_ops<Fn>();
+    }
   }
 
   void move_from(SmallFunction& other) {

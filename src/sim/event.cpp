@@ -28,35 +28,43 @@ Scheduler::~Scheduler() {
   if (stats_fold_ != nullptr) stats_fold_->fold(stats_);
 }
 
-std::uint32_t Scheduler::acquire_slot() {
-  if (free_head_ != kNilIndex) {
-    const std::uint32_t slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-    slots_[slot].next_free = kNilIndex;
-    return slot;
-  }
+void Scheduler::grow_arena() {
   if (slots_.size() > kSlotMask) {
     throw std::length_error(
         "Scheduler: more than 2^24 simultaneously pending events");
   }
+  const auto slot = static_cast<std::uint32_t>(slots_.size());
+  // The back-pointer array grows first and by resize, so a throwing
+  // slots_ growth leaves both arrays usable for the next attempt.
+  // qoesim-lint: allow(hot-call-graph) -- arena growth; free-list recycling makes steady state allocation-free
+  heap_index_.resize(std::size_t{slot} + 1);
   // qoesim-lint: allow(hot-call-graph) -- arena growth; free-list recycling makes steady state allocation-free
   slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+  free_head_ = slot;  // the new slot's next_free is kNilIndex
 }
 
-std::uint64_t Scheduler::next_seq() {
-  if (next_seq_ >> (64 - kSlotBits)) {
-    throw std::overflow_error("Scheduler: event sequence space exhausted");
-  }
-  return next_seq_++;
+void Scheduler::grow_heap() {
+  // qoesim-lint: allow(hot-call-graph) -- geometric heap growth, steady-state free once peak depth is reached
+  heap_.reserve(heap_.capacity() == 0 ? 64 : heap_.capacity() * 2);
 }
+
+#ifndef NDEBUG
+void Scheduler::assert_seq_not_pending(std::uint64_t seq) const {
+  // A duplicated seq would silently tie-break on recycled slot ids; catch
+  // the pending-duplicate half of the precondition where it is checkable.
+  // The scan is bounded so debug builds of large simulations don't pay
+  // O(pending) on every delivery (this path runs once per packet-hop).
+  // A vacant root is the fired event's stale entry, not a pending one.
+  if (heap_.size() > 4096) return;
+  for (std::size_t i = root_vacant_ ? 1 : 0; i < heap_.size(); ++i) {
+    assert(heap_[i].seq_slot >> kSlotBits != seq &&
+           "schedule_at_seq: seq already pending");
+  }
+}
+#endif
 
 void Scheduler::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  ++s.generation;  // invalidates all outstanding handles to this event
-  s.heap_index = kNilIndex;
-  s.next_free = free_head_;
-  free_head_ = slot;
+  free_slot(slot);
   // Destroy the callback last, through a local and with no reference into
   // the arena held: dropping captures (weak_ptrs, RAII objects, ...) runs
   // arbitrary destructors that may reenter the scheduler and reallocate
@@ -64,16 +72,6 @@ void Scheduler::release_slot(std::uint32_t slot) {
   // reentrant schedule_at may even recycle this very slot safely.
   Callback doomed = std::move(slots_[slot].cb);
   static_cast<void>(doomed);
-}
-
-void Scheduler::heap_push(HeapEntry entry) {
-  // qoesim-lint: allow(hot-call-graph) -- capacity is pre-grown geometrically in schedule_with_seq; never reallocates here
-  heap_.push_back(entry);
-  slots_[entry.slot()].heap_index =
-      static_cast<std::uint32_t>(heap_.size() - 1);
-  heap_sift_up(heap_.size() - 1);
-  if (heap_.size() > stats_.peak_queue_depth)
-    stats_.peak_queue_depth = heap_.size();
 }
 
 void Scheduler::heap_remove(std::size_t pos) {
@@ -118,62 +116,11 @@ void Scheduler::heap_sift_down(std::size_t pos) {
   heap_place(pos, entry);
 }
 
-EventHandle Scheduler::schedule_at(Time when, Callback cb) {
-  shard_.assert_held();
-  if (when < now_) {
-    throw std::invalid_argument("Scheduler::schedule_at: time in the past");
-  }
-  // Everything that can throw happens before the slot is acquired, so a
-  // failure never orphans a slot holding the moved-in callback: the
-  // sequence check first, then any heap growth (geometric, so push_back
-  // below never reallocates).
-  const std::uint64_t seq = next_seq();
-  return schedule_with_seq(when, seq, std::move(cb));
-}
-
-EventHandle Scheduler::schedule_at_seq(Time when, std::uint64_t seq,
-                                       Callback cb) {
-  shard_.assert_held();
-  if (when < now_) {
-    throw std::invalid_argument("Scheduler::schedule_at_seq: time in the past");
-  }
-  if (seq >= next_seq_) {
-    throw std::invalid_argument(
-        "Scheduler::schedule_at_seq: seq not from allocate_seq");
-  }
-#ifndef NDEBUG
-  // A duplicated seq would silently tie-break on recycled slot ids; catch
-  // the pending-duplicate half of the precondition where it is checkable.
-  // The scan is bounded so debug builds of large simulations don't pay
-  // O(pending) on every delivery (this path runs once per packet-hop).
-  if (heap_.size() <= 4096) {
-    for (const HeapEntry& e : heap_) {
-      assert(e.seq_slot >> kSlotBits != seq &&
-             "schedule_at_seq: seq already pending");
-      static_cast<void>(e);
-    }
-  }
-#endif
-  return schedule_with_seq(when, seq, std::move(cb));
-}
-
-EventHandle Scheduler::schedule_with_seq(Time when, std::uint64_t seq,
-                                         Callback cb) {
-  if (heap_.size() == heap_.capacity()) {
-    // qoesim-lint: allow(hot-call-graph) -- geometric heap growth, steady-state free once peak depth is reached
-    heap_.reserve(heap_.capacity() == 0 ? 64 : heap_.capacity() * 2);
-  }
-  const std::uint32_t slot = acquire_slot();
-  slots_[slot].cb = std::move(cb);
-  heap_push(HeapEntry{when, seq << kSlotBits | slot});
-  ++stats_.scheduled;
-  return EventHandle{this, slot, slots_[slot].generation};
-}
-
 void Scheduler::handle_cancel(std::uint32_t slot, std::uint64_t generation) {
   shard_.assert_held();
   if (!handle_pending(slot, generation)) return;  // fired or already cancelled
-  heap_remove(slots_[slot].heap_index);
+  settle_root();
+  heap_remove(heap_index_[slot]);
   release_slot(slot);
   ++stats_.cancelled;
 }
@@ -185,7 +132,8 @@ bool Scheduler::handle_reschedule(std::uint32_t slot, std::uint64_t generation,
   // Take the sequence first: if it throws, the entry's key is untouched
   // and the heap invariant still holds.
   const std::uint64_t seq = next_seq();
-  const std::size_t pos = slots_[slot].heap_index;
+  settle_root();
+  const std::size_t pos = heap_index_[slot];
   HeapEntry& entry = heap_[pos];
   entry.when = when < now_ ? now_ : when;  // past deadlines clamp to now
   // FIFO-wise, a rescheduled event behaves as if freshly scheduled.
@@ -203,17 +151,21 @@ QOESIM_HOT bool Scheduler::step() {
   // A bare step() is a one-event epoch: adopt the calling thread (aborts
   // in debug builds if another thread's epoch is live).
   shard_.begin_epoch();
+  settle_root();
   if (heap_.empty()) return false;
+  // Leave the fired entry at the root, vacant: a push from the callback
+  // takes its place (see heap_push); otherwise the next heap access
+  // removes it.
   const HeapEntry head = heap_[0];
-  heap_remove(0);
+  root_vacant_ = true;
   now_ = head.when;
   // Move the callback out before invoking: the callback may schedule new
-  // events, which can grow (reallocate) the slot arena. Releasing the slot
+  // events, which can grow (reallocate) the slot arena. Freeing the slot
   // first also makes the event non-pending during its own execution and
   // lets the firing callback's slot be recycled immediately.
   const std::uint32_t slot = head.slot();
   Callback cb = std::move(slots_[slot].cb);
-  release_slot(slot);
+  free_slot(slot);
   ++stats_.fired;
   cb();
   return true;
@@ -224,7 +176,10 @@ QOESIM_HOT void Scheduler::run_until(Time until) {
   // returns; ownership is released at exit so the simulation may resume
   // on a different thread later (sweep-cell handoff).
   const ShardGuard epoch(&shard_);
-  while (!heap_.empty() && heap_[0].when <= until) step();
+  for (settle_root(); !heap_.empty() && heap_[0].when <= until;
+       settle_root()) {
+    step();
+  }
   if (now_ < until) now_ = until;
 }
 
@@ -236,7 +191,10 @@ QOESIM_HOT void Scheduler::run_before(Time until) {
   // events allocated during the epoch fire before barrier-admitted ones),
   // which is the order a single-shard run produces too.
   const ShardGuard epoch(&shard_);
-  while (!heap_.empty() && heap_[0].when < until) step();
+  for (settle_root(); !heap_.empty() && heap_[0].when < until;
+       settle_root()) {
+    step();
+  }
   if (now_ < until) now_ = until;
 }
 

@@ -4,7 +4,8 @@
 // indexed 4-ary min-heap. Slots are recycled through a free list, so the
 // steady-state schedule/fire/cancel cycle performs no heap allocation
 // (callbacks with captures up to SmallCallback::kInlineCapacity bytes are
-// stored inline; see sim/callback.hpp). Events that share a timestamp fire
+// stored inline and constructed in place in their slot; see
+// sim/callback.hpp). Events that share a timestamp fire
 // in scheduling order (FIFO, via a monotonic sequence number), which keeps
 // simulations deterministic. Events can be cancelled or rescheduled through
 // EventHandle, which is how protocol timers (TCP RTO, playout deadlines,
@@ -20,6 +21,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/annotations.hpp"
@@ -107,8 +110,18 @@ class QOESIM_SHARD_PLANE Scheduler {
   /// Current simulated time.
   Time now() const { return now_; }
 
-  /// Schedule `cb` to run at absolute time `when` (must be >= now()).
-  EventHandle schedule_at(Time when, Callback cb);
+  /// Schedule `f` (any void() callable, or a Callback) to run at
+  /// absolute time `when` (must be >= now()). The callable is constructed
+  /// directly in the event's arena slot; if that throws, nothing is
+  /// scheduled and no slot is consumed.
+  template <typename F>
+  EventHandle schedule_at(Time when, F&& f) {
+    shard_.assert_held();
+    if (when < now_) {
+      throw std::invalid_argument("Scheduler::schedule_at: time in the past");
+    }
+    return schedule_with_seq(when, next_seq(), std::forward<F>(f));
+  }
 
   /// Reserve a FIFO position without scheduling anything. Events that
   /// share a timestamp fire in sequence order, so a component can fix an
@@ -122,19 +135,35 @@ class QOESIM_SHARD_PLANE Scheduler {
     return next_seq();
   }
 
-  /// Schedule `cb` at `when` with the FIFO position `seq`, which must
+  /// Schedule `f` at `when` with the FIFO position `seq`, which must
   /// have been obtained from allocate_seq() and used by at most one event
   /// ever. Consumes no new sequence number. Reusing a seq would make
   /// same-timestamp ties break on arena slot ids (i.e. nondeterministic
   /// free-list history) instead of scheduling order; unallocated seqs
   /// throw, and debug builds assert no pending event already holds the
   /// seq.
-  EventHandle schedule_at_seq(Time when, std::uint64_t seq, Callback cb);
+  template <typename F>
+  EventHandle schedule_at_seq(Time when, std::uint64_t seq, F&& f) {
+    shard_.assert_held();
+    if (when < now_) {
+      throw std::invalid_argument(
+          "Scheduler::schedule_at_seq: time in the past");
+    }
+    if (seq >= next_seq_) {
+      throw std::invalid_argument(
+          "Scheduler::schedule_at_seq: seq not from allocate_seq");
+    }
+#ifndef NDEBUG
+    assert_seq_not_pending(seq);
+#endif
+    return schedule_with_seq(when, seq, std::forward<F>(f));
+  }
 
-  /// Schedule `cb` to run `delay` from now (negative delays clamp to now).
-  EventHandle schedule_in(Time delay, Callback cb) {
+  /// Schedule `f` to run `delay` from now (negative delays clamp to now).
+  template <typename F>
+  EventHandle schedule_in(Time delay, F&& f) {
     if (delay.is_negative()) delay = Time::zero();
-    return schedule_at(now_ + delay, std::move(cb));
+    return schedule_at(now_ + delay, std::forward<F>(f));
   }
 
   /// Run events until the queue is empty or `until` is reached. The clock
@@ -156,8 +185,11 @@ class QOESIM_SHARD_PLANE Scheduler {
 
   /// Number of live pending events. Cancelled events are removed from the
   /// queue eagerly, so they are never counted (unlike the old tombstone
-  /// implementation, which reported them until they were popped).
-  std::size_t pending_events() const { return heap_.size(); }
+  /// implementation, which reported them until they were popped), and a
+  /// firing event is not pending while its callback runs.
+  std::size_t pending_events() const {
+    return heap_.size() - (root_vacant_ ? 1 : 0);
+  }
 
   /// Total number of events fired so far (for perf accounting).
   std::uint64_t fired_events() const { return stats_.fired; }
@@ -200,11 +232,11 @@ class QOESIM_SHARD_PLANE Scheduler {
 
   // The generation is 64-bit so it can never wrap within the 2^40-event
   // sequence budget: a stale handle stays inert for the scheduler's whole
-  // lifetime (no ABA on recycled slots). It widens Slot into existing
-  // padding, so the arena layout is unchanged.
+  // lifetime (no ABA on recycled slots). A slot's heap back-pointer is
+  // not here but in the dense heap_index_ array, so the sift loops write
+  // 4 bytes per moved entry instead of touching an 80-byte slot.
   struct Slot {
     std::uint64_t generation = 0;
-    std::uint32_t heap_index = kNilIndex;
     std::uint32_t next_free = kNilIndex;
     Callback cb;
   };
@@ -215,12 +247,45 @@ class QOESIM_SHARD_PLANE Scheduler {
   void handle_cancel(std::uint32_t slot, std::uint64_t generation);
   bool handle_reschedule(std::uint32_t slot, std::uint64_t generation,
                          Time when);
-  EventHandle schedule_with_seq(Time when, std::uint64_t seq, Callback cb)
-      QOESIM_REQUIRES_SHARD;
+  // Everything that can throw -- heap growth, arena growth, then
+  // constructing the callable in the free-list head's slot -- happens
+  // before that slot leaves the free list, so a failure orphans no slot
+  // and leaves the heap untouched. A push that fills the vacant root
+  // needs no heap capacity.
+  template <typename F>
+  EventHandle schedule_with_seq(Time when, std::uint64_t seq, F&& f)
+      QOESIM_REQUIRES_SHARD {
+    if (!root_vacant_ && heap_.size() == heap_.capacity()) grow_heap();
+    if (free_head_ == kNilIndex) grow_arena();
+    const std::uint32_t slot = free_head_;
+    Slot& s = slots_[slot];
+    // qoesim-lint: allow(hot-call-graph) -- SmallFunction::emplace: inline for captures <= 48 B (every hot-path event; test_alloc_gate pins 0 allocations)
+    s.cb.emplace(std::forward<F>(f));
+    free_head_ = s.next_free;
+    heap_push(HeapEntry{when, seq << kSlotBits | slot});
+    ++stats_.scheduled;
+    return EventHandle{this, slot, s.generation};
+  }
 
-  std::uint32_t acquire_slot() QOESIM_REQUIRES_SHARD;
+  void grow_heap() QOESIM_REQUIRES_SHARD;
+  void grow_arena() QOESIM_REQUIRES_SHARD;
+  // Bookkeeping only: the slot's callback must already be empty.
+  void free_slot(std::uint32_t slot) QOESIM_REQUIRES_SHARD {
+    Slot& s = slots_[slot];
+    ++s.generation;  // invalidates all outstanding handles to this event
+    s.next_free = free_head_;
+    free_head_ = slot;
+  }
   void release_slot(std::uint32_t slot) QOESIM_REQUIRES_SHARD;
-  std::uint64_t next_seq() QOESIM_REQUIRES_SHARD;
+  std::uint64_t next_seq() QOESIM_REQUIRES_SHARD {
+    if (next_seq_ >> (64 - kSlotBits)) {
+      throw std::overflow_error("Scheduler: event sequence space exhausted");
+    }
+    return next_seq_++;
+  }
+#ifndef NDEBUG
+  void assert_seq_not_pending(std::uint64_t seq) const;
+#endif
 
   // Indexed 4-ary min-heap keyed by (when, seq). Comparing the combined
   // seq_slot word is equivalent to comparing seq: among equal timestamps
@@ -233,9 +298,35 @@ class QOESIM_SHARD_PLANE Scheduler {
   void heap_place(std::size_t pos, const HeapEntry& entry)
       QOESIM_REQUIRES_SHARD {
     heap_[pos] = entry;
-    slots_[entry.slot()].heap_index = static_cast<std::uint32_t>(pos);
+    heap_index_[entry.slot()] = static_cast<std::uint32_t>(pos);
   }
-  void heap_push(HeapEntry entry) QOESIM_REQUIRES_SHARD;
+  // Fused pop/push: step() leaves the fired event's entry at the root and
+  // marks it vacant instead of removing it. The first push while the root
+  // is vacant overwrites it and sifts down once -- a timer that re-arms
+  // from its own callback (link tx-complete, wire delivery) costs one
+  // sift instead of a remove's sift-down plus a push's sift-up. Every
+  // other heap access first settles the vacant root (settle_root), i.e.
+  // removes the stale entry like any other heap_remove.
+  void heap_push(HeapEntry entry) QOESIM_REQUIRES_SHARD {
+    if (root_vacant_) {
+      // Same size as before the fired event left, so no new peak.
+      root_vacant_ = false;
+      heap_place(0, entry);
+      heap_sift_down(0);
+      return;
+    }
+    // qoesim-lint: allow(hot-call-graph) -- capacity is pre-grown geometrically in schedule_with_seq; never reallocates here
+    heap_.push_back(entry);
+    heap_sift_up(heap_.size() - 1);
+    if (heap_.size() > stats_.peak_queue_depth)
+      stats_.peak_queue_depth = heap_.size();
+  }
+  void settle_root() QOESIM_REQUIRES_SHARD {
+    if (root_vacant_) {
+      root_vacant_ = false;
+      heap_remove(0);
+    }
+  }
   void heap_remove(std::size_t pos) QOESIM_REQUIRES_SHARD;
   void heap_sift_up(std::size_t pos) QOESIM_REQUIRES_SHARD;
   void heap_sift_down(std::size_t pos) QOESIM_REQUIRES_SHARD;
@@ -246,8 +337,10 @@ class QOESIM_SHARD_PLANE Scheduler {
   Stats stats_;
   StatsFold* stats_fold_ = nullptr;
   std::vector<Slot> slots_;
+  std::vector<std::uint32_t> heap_index_;  // per slot; valid while pending
   std::vector<HeapEntry> heap_;
   std::uint32_t free_head_ = kNilIndex;
+  bool root_vacant_ = false;  // heap_[0] is the fired event's stale entry
 };
 
 inline bool EventHandle::pending() const {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <utility>
 
 #include "sim/event.hpp"
 #include "sim/random.hpp"
@@ -59,11 +60,15 @@ class Simulation {
   /// the same determinism/sharding reasons as next_packet_uid().
   std::uint64_t next_flow_id() { return next_flow_id_++; }
 
-  EventHandle at(Time when, Scheduler::Callback cb) {
-    return scheduler_.schedule_at(when, std::move(cb));
+  /// Schedule a void() callable (or a Scheduler::Callback); it is
+  /// constructed in place in the scheduler's arena (see sim/event.hpp).
+  template <typename F>
+  EventHandle at(Time when, F&& f) {
+    return scheduler_.schedule_at(when, std::forward<F>(f));
   }
-  EventHandle after(Time delay, Scheduler::Callback cb) {
-    return scheduler_.schedule_in(delay, std::move(cb));
+  template <typename F>
+  EventHandle after(Time delay, F&& f) {
+    return scheduler_.schedule_in(delay, std::forward<F>(f));
   }
 
   void run_until(Time until) { scheduler_.run_until(until); }

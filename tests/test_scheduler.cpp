@@ -6,6 +6,7 @@
 #include "sim/simulation.hpp"
 
 #include <memory>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -428,6 +429,185 @@ TEST(Scheduler, ReservedSeqSurvivesInterleavedScheduling) {
                         [&] { order.push_back(1); });
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// Counts its own copies and moves. Not trivially copyable, so the
+// scheduler moves it through its move constructor (no memcpy fast path).
+struct CopyMoveCounter {
+  struct Counts {
+    int copies = 0;
+    int moves = 0;
+  };
+  Counts* counts;
+  Counts* seen_at_fire;
+
+  CopyMoveCounter(Counts* c, Counts* seen) : counts(c), seen_at_fire(seen) {}
+  CopyMoveCounter(const CopyMoveCounter& o)
+      : counts(o.counts), seen_at_fire(o.seen_at_fire) {
+    ++counts->copies;
+  }
+  CopyMoveCounter(CopyMoveCounter&& o) noexcept
+      : counts(o.counts), seen_at_fire(o.seen_at_fire) {
+    ++counts->moves;
+  }
+  void operator()() const { *seen_at_fire = *counts; }
+};
+
+TEST(Scheduler, CallableIsConstructedInPlaceInItsSlot) {
+  Simulation sim;
+  CopyMoveCounter::Counts counts;
+  CopyMoveCounter::Counts seen;
+  sim.after(Time::seconds(1), CopyMoveCounter{&counts, &seen});
+  // An rvalue is moved straight into the arena slot: the single move
+  // constructs the slot's copy, none happens on the way there.
+  EXPECT_EQ(counts.copies, 0);
+  EXPECT_EQ(counts.moves, 1);
+  sim.run();
+  // Firing moves the callable out of the slot once before invoking it.
+  EXPECT_EQ(seen.copies, 0);
+  EXPECT_EQ(seen.moves, 2);
+
+  // An lvalue is copied into the slot exactly once, and not moved. (Each
+  // event here reuses the one arena slot, so no arena growth moves it.)
+  CopyMoveCounter::Counts lcounts;
+  CopyMoveCounter::Counts lseen;
+  const CopyMoveCounter lvalue{&lcounts, &lseen};
+  sim.at(Time::seconds(2), lvalue);
+  EXPECT_EQ(lcounts.copies, 1);
+  EXPECT_EQ(lcounts.moves, 0);
+  sim.run();
+  EXPECT_EQ(lseen.copies, 1);
+  EXPECT_EQ(lseen.moves, 1);
+
+  // A prebuilt SmallCallback is move-assigned into the slot; its target
+  // is moved exactly once more there, and once out when it fires.
+  CopyMoveCounter::Counts ccounts;
+  CopyMoveCounter::Counts cseen;
+  SmallCallback cb = CopyMoveCounter{&ccounts, &cseen};
+  const int moves_before = ccounts.moves;
+  sim.after(Time::seconds(3), std::move(cb));
+  EXPECT_EQ(ccounts.moves, moves_before + 1);
+  EXPECT_EQ(ccounts.copies, 0);
+  sim.run();
+  EXPECT_EQ(cseen.moves, moves_before + 2);
+}
+
+// Records where it was last constructed: in-place construction reveals
+// which arena slot an event occupies. Copying throws on request.
+struct SlotProbe {
+  const void** constructed_at;
+  bool throw_on_copy = false;
+
+  SlotProbe(const void** at, bool throws)
+      : constructed_at(at), throw_on_copy(throws) {}
+  SlotProbe(const SlotProbe& o)
+      : constructed_at(o.constructed_at), throw_on_copy(o.throw_on_copy) {
+    if (throw_on_copy) throw std::runtime_error("SlotProbe copy");
+    *constructed_at = this;
+  }
+  SlotProbe(SlotProbe&& o) noexcept
+      : constructed_at(o.constructed_at), throw_on_copy(o.throw_on_copy) {
+    *constructed_at = this;
+  }
+  void operator()() const {}
+};
+
+TEST(Scheduler, ThrowingCallableConstructionConsumesNoSlot) {
+  Scheduler sched;
+  const void* where = nullptr;
+  sched.schedule_at(Time::seconds(2), [] {});
+  EventHandle a = sched.schedule_at(Time::seconds(1), SlotProbe{&where, false});
+  const void* const slot_of_a = where;  // the arena does not grow after a
+  a.cancel();  // a's slot is now the free list's head
+  const std::size_t pending = sched.pending_events();
+  const std::uint64_t scheduled = sched.stats().scheduled;
+
+  const SlotProbe thrower{&where, true};
+  EXPECT_THROW(sched.schedule_at(Time::seconds(3), thrower),
+               std::runtime_error);
+  EXPECT_THROW(sched.schedule_in(Time::seconds(3), thrower),
+               std::runtime_error);
+  const std::uint64_t seq = sched.allocate_seq();
+  EXPECT_THROW(sched.schedule_at_seq(Time::seconds(3), seq, thrower),
+               std::runtime_error);
+  EXPECT_EQ(sched.pending_events(), pending);
+  EXPECT_EQ(sched.stats().scheduled, scheduled);
+
+  // The next schedule takes the same slot: nothing was orphaned and the
+  // free list is as the cancel left it.
+  sched.schedule_at_seq(Time::seconds(3), seq, SlotProbe{&where, false});
+  EXPECT_EQ(where, slot_of_a);
+  EXPECT_EQ(sched.pending_events(), pending + 1);
+  EXPECT_EQ(sched.stats().scheduled, scheduled + 1);
+  sched.run();
+  EXPECT_EQ(sched.stats().fired, 2u);
+}
+
+TEST(Scheduler, ThrowingConstructionInsideFiringCallback) {
+  // The firing event leaves the heap root vacant; a throwing schedule
+  // from its callback must neither fill nor settle it wrongly.
+  Scheduler sched;
+  std::vector<int> order;
+  const void* where = nullptr;
+  const SlotProbe thrower{&where, true};
+  sched.schedule_at(Time::seconds(1), [&] {
+    EXPECT_THROW(sched.schedule_in(Time::zero(), thrower), std::runtime_error);
+    EXPECT_EQ(sched.pending_events(), 1u);
+    sched.schedule_in(Time::seconds(2), [&] { order.push_back(3); });
+    EXPECT_EQ(sched.pending_events(), 2u);
+  });
+  sched.schedule_at(Time::seconds(2), [&] { order.push_back(2); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+  EXPECT_EQ(sched.stats().scheduled, 3u);
+  EXPECT_EQ(sched.stats().peak_queue_depth, 2u);
+}
+
+TEST(Scheduler, FiringEventIsNotPendingAndPeakDepthIsExact) {
+  Scheduler sched;
+  std::vector<std::size_t> pending_inside;
+  std::vector<std::uint64_t> peak_after;
+  const auto note = [&] { pending_inside.push_back(sched.pending_events()); };
+  const auto step = [&] {
+    ASSERT_TRUE(sched.step());
+    peak_after.push_back(sched.stats().peak_queue_depth);
+  };
+  // Callbacks schedule 1, 2, 2, 0, 1, 0, 0, 0 events:
+  //   t=1 -> t=3; t=2 -> t=4, t=5; t=3 -> t=6, t=7; t=5 -> t=8.
+  sched.schedule_at(Time::seconds(1), [&] {
+    note();
+    sched.schedule_at(Time::seconds(3), [&] {
+      note();
+      // The first push takes the fired event's place: depth 3 again, no
+      // new peak. The second is a new peak.
+      sched.schedule_at(Time::seconds(6), [&] { note(); });
+      EXPECT_EQ(sched.pending_events(), 3u);
+      EXPECT_EQ(sched.stats().peak_queue_depth, 3u);
+      sched.schedule_at(Time::seconds(7), [&] { note(); });
+      EXPECT_EQ(sched.pending_events(), 4u);
+      EXPECT_EQ(sched.stats().peak_queue_depth, 4u);
+    });
+  });
+  sched.schedule_at(Time::seconds(2), [&] {
+    note();
+    sched.schedule_at(Time::seconds(4), [&] { note(); });
+    sched.schedule_at(Time::seconds(5), [&] {
+      note();
+      sched.schedule_at(Time::seconds(8), [&] { note(); });
+    });
+  });
+  EXPECT_EQ(sched.stats().peak_queue_depth, 2u);
+  for (int i = 0; i < 8; ++i) step();
+  EXPECT_FALSE(sched.step());
+  // Pending inside each callback, before it schedules anything:
+  //   t=1 {2}; t=2 {3}; t=3 {4,5}; t=4 {5,6,7}; t=5 {6,7}; t=6 {7,8};
+  //   t=7 {8}; t=8 {}.
+  EXPECT_EQ(pending_inside,
+            (std::vector<std::size_t>{1, 1, 2, 3, 2, 2, 1, 0}));
+  // Depth after each callback: 2, 3, 4, 3, 3, 2, 1, 0.
+  EXPECT_EQ(peak_after,
+            (std::vector<std::uint64_t>{2, 3, 4, 4, 4, 4, 4, 4}));
+  EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 TEST(Simulation, DerivedRngsDifferByLabel) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #define QOESIM_HOT
+#define QOESIM_REQUIRES_SHARD
 
 struct Sample {
   double value = 0.0;
@@ -37,7 +38,16 @@ class FastPath {
 
   QOESIM_HOT void on_flush() { flush_metrics(summary_, seen_); }
 
+  // Depth 2 through definitions whose parameter list is followed by a
+  // project annotation macro: on_timer -> arm_timer -> grow_timers.
+  QOESIM_HOT void on_timer() { arm_timer(); }
+
  private:
+  void arm_timer() QOESIM_REQUIRES_SHARD { grow_timers(); }
+  void grow_timers() QOESIM_REQUIRES_SHARD {
+    series_.reserve(series_.size() * 2);  // LINT-EXPECT: hot-call-graph
+  }
+
   std::vector<Sample> series_;
   std::string summary_;
   long seen_ = 0;

@@ -411,6 +411,9 @@ bool is_function_header(const std::vector<Tok>& stmt) {
           t.text == "final" || t.text == "mutable" || t.text == "try" ||
           t.text == "requires")
         continue;
+      // Project annotation macros (QOESIM_REQUIRES_SHARD, ...) sit
+      // between the parameter list and the body of many definitions.
+      if (t.text.rfind("QOESIM_", 0) == 0) continue;
       // trailing-return-type tokens after `->` are arbitrary; allow any
       // identifier once a `->` was seen.
       bool after_arrow = false;
