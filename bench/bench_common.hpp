@@ -87,11 +87,12 @@ inline void emit_scheduler_summary() {
 }
 
 /// Print the aggregated node forwarding/demux counters of every Node the
-/// bench destroyed, then assert nothing was blackholed: a figure run must
-/// end with undelivered == unrouted == 0 (anything else means a misrouted
-/// topology or a missing handler silently ate packets). Output goes to
-/// stderr so stdout stays diff-stable for the sweep determinism checks;
-/// on violation the process exits 1 so CI smoke steps catch it.
+/// bench destroyed, then assert nothing was blackholed or leaked: a figure
+/// run must end with undelivered == unrouted == 0 (anything else means a
+/// misrouted topology or a missing handler silently ate packets), every
+/// opened flow closed, and every cold block returned to its pool. Output
+/// goes to stderr so stdout stays diff-stable for the sweep determinism
+/// checks; on violation the process exits 1 so CI smoke steps catch it.
 inline void emit_node_summary() {
   const net::Node::Stats s = stats_registry().nodes.snapshot();
   std::fprintf(stderr,
@@ -128,6 +129,19 @@ inline void emit_node_summary() {
                  " were blackholed\n",
                  static_cast<unsigned long long>(s.undelivered),
                  static_cast<unsigned long long>(s.unrouted));
+    std::_Exit(1);
+  }
+  if (s.flows_opened != s.flows_closed ||
+      s.flow_cold_allocs != s.flow_cold_frees) {
+    std::fprintf(stderr,
+                 "[flow] ERROR: %llu of %llu flows never closed / %llu of"
+                 " %llu cold blocks never freed\n",
+                 static_cast<unsigned long long>(s.flows_opened -
+                                                 s.flows_closed),
+                 static_cast<unsigned long long>(s.flows_opened),
+                 static_cast<unsigned long long>(s.flow_cold_allocs -
+                                                 s.flow_cold_frees),
+                 static_cast<unsigned long long>(s.flow_cold_allocs));
     std::_Exit(1);
   }
 }

@@ -172,6 +172,13 @@ class QOESIM_SHARD_PLANE FlatTable {
     return true;
   }
 
+  /// Destroy every entry (owner teardown; no shard capability needed, as
+  /// for the destructor). Capacity and the rehash count are kept.
+  void clear() {
+    for (Slot& s : slots_) s = Slot{};
+    size_ = 0;
+  }
+
   /// Probe-length distribution over the live table: how far each entry
   /// sits from its home slot (length 1 = home hit). A pure read over the
   /// slot array -- deterministic, so benches may print it. The histogram's

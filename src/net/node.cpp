@@ -25,10 +25,12 @@ Node::Stats Node::StatsFold::snapshot() const {
 }
 
 Node::~Node() {
-  // Drop the arena's socket refs first so teardown closes count into the
-  // folded stats (and bound sockets die even though their demux handlers
-  // are never individually unbound).
-  flows_.release_all();
+  // Drop the bindings first: each pins its socket, so clearing them here
+  // (rather than when demux_ dies after this body) lets the sockets free
+  // their slots and cold blocks before the stats are folded. Flows still
+  // open then count as closed by the teardown.
+  demux_.clear();
+  flows_.close_all();
   if (stats_fold_ != nullptr) stats_fold_->fold(stats());
 }
 

@@ -225,10 +225,10 @@ class QOESIM_SHARD_PLANE Node {
   /// still-bound ports after wrapping around.
   std::vector<std::uint16_t> ephemeral_use_;
 
-  /// Pooled flow-state arena (slots + cold blocks). Declared after the
-  /// demux so handlers (which capture only a Core ref + handle) are freed
-  /// first on destruction; ~Node drops the arena's socket refs before
-  /// folding stats so flows_closed counts teardown.
+  /// Pooled flow-state arena (slots + cold blocks). Member order does not
+  /// matter for safety (sockets keep the arena's pools alive), but ~Node
+  /// clears the demux -- whose bindings pin the bound sockets -- before
+  /// folding stats, so teardown frees and closes are counted.
   core::FlowArena flows_;
 
   Stats stats_;

@@ -36,8 +36,6 @@ TcpSocket::~TcpSocket() {
 TcpSocket::TcpCold& TcpSocket::cold() {
   if (cold_ == nullptr) {
     cold_ = new (arena_.cold_alloc(sizeof(TcpCold))) TcpCold();
-    ++stats_.cold_attaches;
-    stats_.cold_bytes = sizeof(TcpCold);
   }
   return *cold_;
 }
@@ -47,7 +45,6 @@ void TcpSocket::release_cold() {
   cold_->~TcpCold();
   arena_.cold_free(cold_);
   cold_ = nullptr;
-  stats_.cold_bytes = 0;
 }
 
 void TcpSocket::maybe_release_cold() {
@@ -59,22 +56,24 @@ void TcpSocket::maybe_release_cold() {
   release_cold();
 }
 
-/// Pooled open: control block + socket in one FlowArena slot; the arena
-/// then adopts the socket (strong ref + generation-stamped handle) so
-/// demux handlers and timers can capture {arena ref, handle} instead of a
-/// shared/weak_ptr.
-std::shared_ptr<TcpSocket> TcpSocket::make_pooled(net::Node& node,
-                                                  net::NodeId remote,
-                                                  std::uint32_t local_port,
-                                                  std::uint32_t remote_port,
-                                                  TcpConfig config,
-                                                  Callbacks callbacks) {
-  core::FlowArena& arena = node.flow_arena();
+/// Pooled open: control block + socket in one FlowArena slot, then bound
+/// in the node's demux. The binding's handler holds the socket's
+/// shared_ptr -- the pin that keeps a flow alive while the application
+/// holds none -- until finish_close's deferred unbind drops it. Delivery
+/// moves the handler out for the call (README "Handler self-unbind
+/// contract"), so the pin outlives an unbind from inside on_packet.
+std::shared_ptr<TcpSocket> TcpSocket::open(net::Node& node,
+                                           net::NodeId remote,
+                                           std::uint32_t local_port,
+                                           std::uint32_t remote_port,
+                                           TcpConfig config,
+                                           Callbacks callbacks) {
   auto sock = std::allocate_shared<TcpSocket>(
-      core::FlowArena::Allocator<TcpSocket>(arena), Passkey{}, node, remote,
-      local_port, remote_port, config, std::move(callbacks));
-  sock->handle_ = arena.adopt(sock, sock.get());
-  sock->stats_.hot_bytes = arena.stats().slot_bytes;
+      core::FlowArena::Allocator<TcpSocket>(node.flow_arena()), Passkey{},
+      node, remote, local_port, remote_port, config, std::move(callbacks));
+  sock->bind_gen_ = node.bind_connection(
+      net::Protocol::kTcp, local_port, remote, remote_port,
+      [self = sock](net::Packet&& p) { self->on_packet(std::move(p)); });
   return sock;
 }
 
@@ -83,8 +82,8 @@ std::shared_ptr<TcpSocket> TcpSocket::connect(net::Node& node,
                                               std::uint32_t remote_port,
                                               TcpConfig config,
                                               Callbacks callbacks) {
-  auto sock = make_pooled(node, remote, node.allocate_port(), remote_port,
-                          config, std::move(callbacks));
+  auto sock = open(node, remote, node.allocate_port(), remote_port, config,
+                   std::move(callbacks));
   sock->start_connect();
   return sock;
 }
@@ -93,24 +92,13 @@ std::shared_ptr<TcpSocket> TcpSocket::accept(net::Node& node,
                                              const net::Packet& syn,
                                              TcpConfig config,
                                              Callbacks callbacks) {
-  auto sock = make_pooled(node, syn.src, syn.tcp.dst_port, syn.tcp.src_port,
-                          config, std::move(callbacks));
+  auto sock = open(node, syn.src, syn.tcp.dst_port, syn.tcp.src_port, config,
+                   std::move(callbacks));
   sock->start_accept(syn);
   return sock;
 }
 
 void TcpSocket::start_connect() {
-  // The arena's strong ref keeps the socket alive while bound; the demux
-  // entry captures only {arena ref, handle} (fits the handler's inline
-  // buffer, so binding a flow does not allocate; see Node::Handler).
-  bind_gen_ = node_.bind_connection(
-      net::Protocol::kTcp, local_port_, remote_, remote_port_,
-      [r = arena_, h = handle_](net::Packet&& p) {
-        if (void* s = r.resolve(h)) {
-          static_cast<TcpSocket*>(s)->on_packet(std::move(p));
-        }
-      });
-  hot_.bound = true;
   state_ = State::kSynSent;
   syn_sent_at_ = sim_.now();
   send_control(/*syn=*/true, /*ack=*/false, /*fin=*/false);
@@ -118,14 +106,6 @@ void TcpSocket::start_connect() {
 }
 
 void TcpSocket::start_accept(const net::Packet& syn) {
-  bind_gen_ = node_.bind_connection(
-      net::Protocol::kTcp, local_port_, remote_, remote_port_,
-      [r = arena_, h = handle_](net::Packet&& p) {
-        if (void* s = r.resolve(h)) {
-          static_cast<TcpSocket*>(s)->on_packet(std::move(p));
-        }
-      });
-  hot_.bound = true;
   state_ = State::kSynRcvd;
   syn_sent_at_ = sim_.now();
   hot_.rcv_nxt = syn.tcp.seq + 1;  // SYN consumes one sequence number
@@ -672,13 +652,9 @@ void TcpSocket::send_ack_now() {
 
 void TcpSocket::schedule_delayed_ack() {
   if (delack_timer_.pending()) return;
-  delack_timer_ =
-      sim_.after(config_.delayed_ack_timeout, [r = arena_, h = handle_] {
-        if (void* s = r.resolve(h)) {
-          auto* self = static_cast<TcpSocket*>(s);
-          if (self->hot_.pending_ack_segments > 0) self->send_ack_now();
-        }
-      });
+  delack_timer_ = sim_.after(config_.delayed_ack_timeout, [this] {
+    if (hot_.pending_ack_segments > 0) send_ack_now();
+  });
 }
 
 void TcpSocket::handle_data(const net::Packet& p) {
@@ -758,9 +734,7 @@ void TcpSocket::arm_rto() {
   // was cancelled.
   const Time deadline = sim_.now() + rtt_.rto();
   if (!rto_timer_.reschedule(deadline)) {
-    rto_timer_ = sim_.at(deadline, [r = arena_, h = handle_] {
-      if (void* s = r.resolve(h)) static_cast<TcpSocket*>(s)->on_rto();
-    });
+    rto_timer_ = sim_.at(deadline, [this] { on_rto(); });
   }
   arm_tlp();
 }
@@ -774,11 +748,7 @@ QOESIM_HOT void TcpSocket::arm_pacer(Time deadline) {
   // Same re-arm idiom as the RTO: move the pending timer in place
   // (allocation-free fast path), rebuild only after it fired.
   if (!pacing_timer_.reschedule(deadline)) {
-    pacing_timer_ = sim_.at(deadline, [r = arena_, h = handle_] {
-      if (void* s = r.resolve(h)) {
-        static_cast<TcpSocket*>(s)->maybe_send_data();
-      }
-    });
+    pacing_timer_ = sim_.at(deadline, [this] { maybe_send_data(); });
   }
 }
 
@@ -800,9 +770,7 @@ void TcpSocket::arm_tlp() {
   }
   const Time deadline = sim_.now() + pto;
   if (!tlp_timer_.reschedule(deadline)) {
-    tlp_timer_ = sim_.at(deadline, [r = arena_, h = handle_] {
-      if (void* s = r.resolve(h)) static_cast<TcpSocket*>(s)->on_tlp();
-    });
+    tlp_timer_ = sim_.at(deadline, [this] { on_tlp(); });
   }
 }
 
@@ -919,26 +887,22 @@ void TcpSocket::finish_close() {
   cancel_rto();
   delack_timer_.cancel();
   pacing_timer_.cancel();
-  if (hot_.bound) {
-    hot_.bound = false;
-    // Defer the unbind and the arena release: the arena's slot ref is what
-    // keeps us alive, and the demux handler (or a timer) resolving our
-    // handle may be the frame on the stack right now. The unbind is
-    // gen-checked, so a new flow rebinding the same 4-tuple at this very
-    // timestamp is not erased; the release bumps the slot generation, so
-    // every outstanding capture of our handle resolves to null from here
-    // on (and may destroy the socket, unless the application still holds
-    // its shared_ptr).
-    auto* node = &node_;
-    const auto gen = bind_gen_;
-    const auto lp = local_port_;
-    const auto rn = remote_;
-    const auto rp = remote_port_;
-    sim_.after(Time::zero(), [node, gen, r = arena_, lp, rn, rp, h = handle_] {
-      node->unbind_connection(net::Protocol::kTcp, lp, rn, rp, gen);
-      r.release(h);
-    });
-  }
+  // Defer the unbind by one zero-delay event: the binding's pin is what
+  // keeps us alive, and a timer of ours may be the frame on the stack
+  // right now. The event captures no socket pointer -- dropping the pin
+  // may destroy the socket (unless the application still holds its
+  // shared_ptr), and a replaced binding may already have destroyed it.
+  // The unbind is gen-checked, so a new flow rebinding the same 4-tuple at
+  // this very timestamp is not erased.
+  auto* node = &node_;
+  const auto gen = bind_gen_;
+  const auto lp = local_port_;
+  const auto rn = remote_;
+  const auto rp = remote_port_;
+  sim_.after(Time::zero(), [node, gen, lp, rn, rp] {
+    node->unbind_connection(net::Protocol::kTcp, lp, rn, rp, gen);
+    node->flow_arena().note_closed();
+  });
   if (callbacks_.on_closed) callbacks_.on_closed();
 }
 

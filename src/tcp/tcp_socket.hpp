@@ -65,13 +65,6 @@ struct TcpStats {
   std::uint64_t dup_acks_seen = 0;
   std::uint64_t ecn_ce_received = 0;   ///< CE-marked packets seen (receiver)
   std::uint64_t ecn_responses = 0;     ///< ECE-triggered cwnd reductions
-  /// Per-flow resident memory (the "flow lifecycle & memory contract"
-  /// README section): hot is the pooled arena slot (control block +
-  /// socket, constant per node), cold the lazily attached loss/reorder
-  /// block (0 while detached -- the steady-state figure).
-  std::uint64_t hot_bytes = 0;
-  std::uint64_t cold_bytes = 0;
-  std::uint64_t cold_attaches = 0;  ///< times the cold block was (re)attached
   Time connect_time = Time::zero();     ///< SYN -> established
   Time established_at = Time::zero();
   Time closed_at = Time::zero();
@@ -91,9 +84,14 @@ struct TcpStats {
 /// object in a single fixed-size allocation (std::allocate_shared), the
 /// congestion controller placement-constructed in an inline box, and the
 /// loss/reorder machinery in a lazily attached cold block that returns to
-/// the arena when the flow is back in steady state. Demux handlers and
-/// timers capture a generation-stamped FlowHandle (stale resolves to
-/// null), not a shared/weak_ptr.
+/// the arena when the flow is back in steady state.
+///
+/// Ownership: the shared_ptr is the socket's only owner. The node's demux
+/// binding holds one (the pin) from connect()/accept() until finish_close's
+/// deferred unbind drops it; an application may hold more, past close and
+/// even past the node's death. Timers capture `this`: each lives in a
+/// member EventHandle that ~TcpSocket cancels, and none is armed once
+/// finish_close ran.
 class QOESIM_SHARD_PLANE TcpSocket {
   /// Passkey: the constructor must be public for std::allocate_shared but
   /// is only callable through connect()/accept().
@@ -157,7 +155,6 @@ class QOESIM_SHARD_PLANE TcpSocket {
     bool cwr_pending = false;       ///< sender: set CWR on the next data seg
     bool peer_fin_received = false;
     bool our_fin_acked = false;
-    bool bound = false;            ///< demux binding live
     bool rtt_probe_armed = false;  ///< one RTT probe at a time (Karn)
   };
   static_assert(sizeof(TcpHot) <= 128, "hot flow state must stay two cache lines");
@@ -233,12 +230,12 @@ class QOESIM_SHARD_PLANE TcpSocket {
     kTimeWait,
   };
 
-  static std::shared_ptr<TcpSocket> make_pooled(net::Node& node,
-                                                net::NodeId remote,
-                                                std::uint32_t local_port,
-                                                std::uint32_t remote_port,
-                                                TcpConfig config,
-                                                Callbacks callbacks);
+  /// Allocate in the node's FlowArena and bind the 4-tuple (see .cpp).
+  static std::shared_ptr<TcpSocket> open(net::Node& node, net::NodeId remote,
+                                         std::uint32_t local_port,
+                                         std::uint32_t remote_port,
+                                         TcpConfig config,
+                                         Callbacks callbacks);
 
   void start_connect();
   void start_accept(const net::Packet& syn);
@@ -284,12 +281,9 @@ class QOESIM_SHARD_PLANE TcpSocket {
 
   net::Node& node_;
   Simulation& sim_;
-  /// Arena token (shares slab ownership) + our generation-stamped slot.
-  /// Demux handlers and timers capture copies of these two instead of a
-  /// shared/weak_ptr; finish_close releases the handle, making every
-  /// outstanding capture resolve to null.
+  /// Cold-pool token (shares the arena's pools, so a socket that outlives
+  /// its node still returns its cold block safely).
   core::FlowArena::Ref arena_;
-  core::FlowHandle handle_;
   std::uint64_t bind_gen_ = 0;  ///< demux generation of our binding
   net::NodeId remote_;
   std::uint32_t local_port_;

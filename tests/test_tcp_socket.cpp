@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
 
@@ -309,6 +310,142 @@ TEST(TcpTlp, ProbeReArmedAfterAckProgress) {
   EXPECT_EQ(client->stats().bytes_acked, 8u * 1460u);
   EXPECT_EQ(client->stats().tlp_probes, 2u);
   EXPECT_EQ(client->stats().timeouts, 0u);
+}
+
+// ------------------------------------------------------------ lifetime
+//
+// A socket's one owner is its shared_ptr: the node's demux binding holds
+// one from connect/accept until the deferred unbind after close, and an
+// application may hold more. These pin the rules that follow from it.
+
+/// Two nodes over a Topology kept in an optional, so a test can tear the
+/// network down while the simulation (and its scheduler) lives on.
+struct TeardownNet {
+  explicit TeardownNet(std::size_t buffer = 100) {
+    topo.emplace(sim, &fold);
+    a = &topo->add_node("a");
+    b = &topo->add_node("b");
+    net::LinkSpec spec;
+    spec.rate_bps = 10e6;
+    spec.delay = Time::milliseconds(10);
+    spec.buffer_packets = buffer;
+    topo->connect(*a, *b, spec, spec);
+    topo->compute_routes();
+  }
+  std::uint64_t cold_live() const {
+    return a->flow_arena().stats().cold_live +
+           b->flow_arena().stats().cold_live;
+  }
+
+  Simulation sim;
+  net::Node::StatsFold fold;
+  std::optional<net::Topology> topo;
+  net::Node* a = nullptr;
+  net::Node* b = nullptr;
+};
+
+// The binding alone keeps a flow alive: the app drops its pointer right
+// after queuing data and the FIN, the flow still completes, and once the
+// deferred unbind frees the slot the next connect reuses it (LIFO).
+TEST(TcpLifetime, BindingPinsSocketTheAppDropped) {
+  testutil::PairNet net;
+  auto server = testutil::make_sink(*net.b, 80);
+  bool closed = false;
+  auto sock = tcp::TcpSocket::connect(
+      *net.a, 1, 80, {}, {.on_closed = [&closed] { closed = true; }});
+  sock->send(50 * 1460);
+  sock->close();
+  const void* slot = sock.get();
+  sock.reset();
+  net.sim.run_until(Time::seconds(5));
+
+  EXPECT_TRUE(closed);
+  const core::FlowArena::Stats& st = net.a->flow_arena().stats();
+  EXPECT_EQ(st.flows_opened, 1u);
+  EXPECT_EQ(st.flows_closed, 1u);
+  EXPECT_EQ(net.a->bound_count(), 0u);
+  auto next = tcp::TcpSocket::connect(*net.a, 1, 80, {}, {});
+  EXPECT_EQ(static_cast<const void*>(next.get()), slot);
+}
+
+// An app-held socket outlives its close: stats stay readable, and the
+// closed socket schedules nothing while the simulation runs on.
+TEST(TcpLifetime, AppHeldSocketIsQuietAfterClose) {
+  testutil::PairNet net;
+  auto server = testutil::make_sink(*net.b, 80);
+  auto sock = tcp::TcpSocket::connect(*net.a, 1, 80, {}, {});
+  sock->send(50 * 1460);
+  sock->close();
+  net.sim.run_until(Time::seconds(5));
+  ASSERT_TRUE(sock->fully_closed());
+  EXPECT_EQ(sock->stats().bytes_acked, 50u * 1460u);
+  EXPECT_EQ(net.a->flow_arena().stats().flows_closed, 1u);
+
+  const std::uint64_t scheduled = net.sim.scheduler().stats().scheduled;
+  sock->send(1460);  // ignored after close: no timer may be armed
+  net.sim.run_until(Time::seconds(60));
+  EXPECT_EQ(net.sim.scheduler().stats().scheduled, scheduled);
+  EXPECT_EQ(sock->stats().bytes_acked, 50u * 1460u);
+}
+
+// Tearing a node down mid-transfer destroys its bound sockets -- with
+// timers pending (RTO, TLP, delayed ACK, BBR pacing, as each flow has
+// them) and cold loss-recovery blocks attached -- and the folded stats
+// still balance: every flow closed, every cold block freed.
+TEST(TcpLifetime, NodeTeardownMidTransferBalancesFoldedStats) {
+  TeardownNet net(/*buffer=*/8);  // small buffer: losses attach cold blocks
+  tcp::TcpConfig bbr;
+  bbr.cc = tcp::CcKind::kBbr;
+  auto server = std::make_unique<tcp::TcpServer>(
+      *net.b, 80, bbr,
+      [](std::shared_ptr<tcp::TcpSocket> s) { s->send(400 * 1460); });
+  for (int i = 0; i < 4; ++i) {
+    tcp::TcpSocket::connect(*net.a, 1, 80, i % 2 ? bbr : tcp::TcpConfig{})
+        ->send(400 * 1460);
+  }
+  for (Time t = Time::milliseconds(100);
+       net.cold_live() == 0 && t < Time::seconds(10);
+       t = t + Time::milliseconds(1)) {
+    net.sim.run_until(t);
+  }
+  ASSERT_GT(net.cold_live(), 0u);
+  ASSERT_EQ(net.a->flow_arena().stats().flows_closed, 0u);
+
+  const std::uint64_t cancelled = net.sim.scheduler().stats().cancelled;
+  server.reset();
+  net.topo.reset();
+  // Every socket died with the binding that pinned it, cancelling its
+  // pending timers (eight sockets: at least an RTO each).
+  EXPECT_GE(net.sim.scheduler().stats().cancelled - cancelled, 8u);
+  const net::Node::Stats st = net.fold.snapshot();
+  EXPECT_EQ(st.flows_opened, 8u);
+  EXPECT_EQ(st.flows_closed, st.flows_opened);
+  EXPECT_GT(st.flow_cold_allocs, 0u);
+  EXPECT_EQ(st.flow_cold_frees, st.flow_cold_allocs);
+}
+
+// An app-held socket outlives its node: it stays readable, and releasing
+// it afterwards returns its slot and cold block to the arena's pools,
+// which its allocator and cold-pool token kept alive (ASan builds turn a
+// mistake here into a use-after-free report).
+TEST(TcpLifetime, AppHeldSocketOutlivesItsNode) {
+  TeardownNet net(/*buffer=*/8);
+  auto server = testutil::make_sink(*net.b, 80);
+  auto sock = tcp::TcpSocket::connect(*net.a, 1, 80, {}, {});
+  sock->send(400 * 1460);
+  for (Time t = Time::milliseconds(100);
+       net.cold_live() == 0 && t < Time::seconds(10);
+       t = t + Time::milliseconds(1)) {
+    net.sim.run_until(t);
+  }
+  ASSERT_GT(net.cold_live(), 0u);
+  server.reset();
+  net.topo.reset();
+  EXPECT_FALSE(sock->fully_closed());
+  EXPECT_GT(sock->stats().bytes_acked, 0u);
+  // Teardown counted the held flow closed; its blocks return below.
+  EXPECT_EQ(net.fold.snapshot().flows_closed, 2u);
+  sock.reset();
 }
 
 }  // namespace
