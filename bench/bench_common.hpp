@@ -4,13 +4,6 @@
 //   --scale <f>   scale probe repetitions / measurement durations (default 1)
 //   --seed <n>    master seed (default 1)
 //   --jobs <n>    worker threads for grid sweeps (default 1; 0 = all cores)
-//   --shards <n>  PDES engine shards within one scenario, read by the
-//                 engine-scale benches (bench_pdes: default 0 = its full
-//                 scaling curve; bench_megaflows: default 1). The figure
-//                 and table benches accept and ignore it: their dumbbell
-//                 testbeds always run on one scheduler. Stdout is
-//                 byte-identical across values -- the --shards
-//                 determinism gate in CI pins it.
 //   --csv         also emit CSV after the rendered table
 //   --no-color    render tone tags instead of ANSI colors
 //   --quick       CI smoke mode: quarter probe budget on top of --scale
@@ -18,6 +11,10 @@
 //
 // Flags are validated: non-numeric or non-positive values and unknown
 // flags abort with a usage message instead of being silently ignored.
+//
+// Benches whose scenario runs on the sharded PDES engine (bench_pdes,
+// bench_megaflows) additionally take `--shards <n>` (see shards_flag);
+// every other bench rejects it as an unknown flag.
 #pragma once
 
 #include <chrono>
@@ -147,12 +144,30 @@ inline void emit_node_summary() {
 }
 
 struct BenchOptions {
+  /// Print the usage line: the shared flags plus `extra_value_flags`.
+  static void usage(std::FILE* out, const char* argv0,
+                    std::initializer_list<const char*> extra_value_flags) {
+    std::fprintf(out,
+                 "usage: %s [--scale f] [--seed n] [--jobs n] [--csv]"
+                 " [--no-color] [--quick]",
+                 argv0);
+    for (const char* flag : extra_value_flags)
+      std::fprintf(out, " [%s v]", flag);
+    std::fputs("\n", out);
+  }
+
+  /// Report a malformed command line and exit 2 with the usage line.
+  [[noreturn]] static void usage_error(
+      const char* argv0, std::initializer_list<const char*> extra_value_flags,
+      const char* message, const char* arg) {
+    std::fprintf(stderr, "%s: %s: %s\n", argv0, message, arg);
+    usage(stderr, argv0, extra_value_flags);
+    std::exit(2);
+  }
+
   double scale = 1.0;
   std::uint64_t seed = 1;
   unsigned jobs = 1;  ///< sweep worker threads; 0 = hardware concurrency
-  /// PDES shards per scenario; 0 = bench default. Only the engine-scale
-  /// benches read it (bench_pdes: run its whole scaling curve).
-  unsigned shards = 0;
   bool csv = false;
   bool color = true;
   bool quick = false;  ///< CI smoke preset (see budget())
@@ -165,19 +180,8 @@ struct BenchOptions {
       std::initializer_list<const char*> extra_value_flags = {}) {
     bench_start_time();  // anchor the events/sec wall clock
     BenchOptions opt;
-    auto usage = [&](std::FILE* out) {
-      std::fprintf(out,
-                   "usage: %s [--scale f] [--seed n] [--jobs n] [--shards n]"
-                   " [--csv] [--no-color] [--quick]",
-                   argv[0]);
-      for (const char* flag : extra_value_flags)
-        std::fprintf(out, " [%s v]", flag);
-      std::fputs("\n", out);
-    };
     auto fail = [&](const char* message, const char* arg) {
-      std::fprintf(stderr, "%s: %s: %s\n", argv[0], message, arg);
-      usage(stderr);
-      std::exit(2);
+      usage_error(argv[0], extra_value_flags, message, arg);
     };
     auto value_of = [&](int& i) -> const char* {
       if (i + 1 >= argc) fail("missing value for flag", argv[i]);
@@ -209,13 +213,6 @@ struct BenchOptions {
         if (end == text || *end != '\0' || jobs > 4096)
           fail("--jobs expects an integer in [0, 4096]", text);
         opt.jobs = static_cast<unsigned>(jobs);
-      } else if (std::strcmp(argv[i], "--shards") == 0) {
-        const char* text = value_of(i);
-        char* end = nullptr;
-        const unsigned long shards = std::strtoul(text, &end, 10);
-        if (end == text || *end != '\0' || shards > 64)
-          fail("--shards expects an integer in [0, 64]", text);
-        opt.shards = static_cast<unsigned>(shards);
       } else if (std::strcmp(argv[i], "--csv") == 0) {
         opt.csv = true;
       } else if (std::strcmp(argv[i], "--no-color") == 0) {
@@ -223,7 +220,7 @@ struct BenchOptions {
       } else if (std::strcmp(argv[i], "--quick") == 0) {
         opt.quick = true;
       } else if (std::strcmp(argv[i], "--help") == 0) {
-        usage(stdout);
+        usage(stdout, argv[0], extra_value_flags);
         std::exit(0);
       } else {
         bool extra = false;
@@ -263,6 +260,34 @@ struct BenchOptions {
   /// Sweep pool for grid evaluation, sized by --jobs.
   core::SweepRunner sweep() const { return core::SweepRunner(jobs); }
 };
+
+/// The bench-specific `--shards <n>` value flag of the benches whose
+/// scenario runs on the sharded PDES engine: engine shards within one
+/// scenario, 0 (also when absent) = the bench's default. Such a bench
+/// calls this before BenchOptions::parse (so a malformed value exits 2
+/// before any atexit summary is registered) and passes "--shards" in
+/// parse's extra_value_flags. Stdout is byte-identical across values --
+/// the --shards determinism gate in CI pins it.
+inline unsigned shards_flag(int argc, char** argv) {
+  unsigned shards = 0;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--shards") != 0) continue;
+    if (i + 1 >= argc) {
+      BenchOptions::usage_error(argv[0], {"--shards"},
+                                "missing value for flag", argv[i]);
+    }
+    const char* text = argv[++i];
+    char* end = nullptr;
+    const unsigned long value = std::strtoul(text, &end, 10);
+    if (end == text || *end != '\0' || value > 64) {
+      BenchOptions::usage_error(argv[0], {"--shards"},
+                                "--shards expects an integer in [0, 64]",
+                                text);
+    }
+    shards = static_cast<unsigned>(value);
+  }
+  return shards;
+}
 
 inline void emit(const stats::HeatmapTable& table, const BenchOptions& opt) {
   std::fputs(table.render(opt.color).c_str(), stdout);

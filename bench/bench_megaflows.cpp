@@ -110,7 +110,9 @@ Cell run_cell(std::uint64_t flows, std::uint64_t seed, unsigned shards) {
   const net::NodeId srv = engine.add_node("srv", static_cast<double>(kClients));
   std::vector<net::NodeId> cli(kClients);
   for (unsigned c = 0; c < kClients; ++c) {
-    cli[c] = engine.add_node("c" + std::to_string(c));
+    // Built with append: GCC 12 reports a false -Wrestrict on
+    // "c" + std::to_string(c).
+    cli[c] = engine.add_node(std::string("c").append(std::to_string(c)));
     engine.connect(srv, cli[c], spec, spec);
   }
   engine.build();
@@ -215,12 +217,11 @@ std::string fmt(const char* format, double v) {
   return std::string(buf);
 }
 
-void run(const bench::BenchOptions& opt) {
+void run(const bench::BenchOptions& opt, unsigned shards) {
   // The curve is the point: fixed flow counts, --quick drops the two big
   // cells for the CI smoke/determinism gates (the full run proves 1M).
   std::vector<std::uint64_t> counts = {4096, 10240, 100352, 1000000};
   if (opt.quick) counts.resize(2);
-  const unsigned shards = opt.shards != 0 ? opt.shards : 1;
 
   const auto cells = opt.sweep().map(counts.size(), [&](std::size_t i) {
     const std::uint64_t seed = RandomStream::derive_seed(
@@ -280,7 +281,9 @@ void run(const bench::BenchOptions& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = qoesim::bench::BenchOptions::parse(argc, argv);
-  run(opt);
+  const unsigned shards = qoesim::bench::shards_flag(argc, argv);
+  const auto opt =
+      qoesim::bench::BenchOptions::parse(argc, argv, {"--shards"});
+  run(opt, shards != 0 ? shards : 1);
   return 0;
 }

@@ -83,6 +83,12 @@ net::LinkSpec link_spec(double rate_bps, Time delay, std::size_t buffer) {
   return s;
 }
 
+// "p<index>". Built with append: GCC 12 reports a false -Wrestrict on
+// "p" + std::to_string(p).
+std::string pod_name(unsigned p) {
+  return std::string("p").append(std::to_string(p));
+}
+
 std::string fmt(const char* format, double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), format, value);
@@ -109,7 +115,7 @@ RunResult run_once(unsigned shards, const bench::BenchOptions& opt) {
   // ---- topology ----------------------------------------------------------
   std::array<PodNodes, kPods> pods_n;
   for (unsigned p = 0; p < kPods; ++p) {
-    const std::string prefix = "p" + std::to_string(p) + ".";
+    const std::string prefix = pod_name(p) + ".";
     // The gateway forwards every pod flow twice (in + out), so it gets
     // the lion's share of the pod's events; the weight only matters for
     // asymmetric pin experiments, the 8 symmetric pods balance anyway.
@@ -236,7 +242,7 @@ RunResult run_once(unsigned shards, const bench::BenchOptions& opt) {
     loss /= kClientsPerPod;
     qdelay /= kClientsPerPod;
     const apps::VoipCall& voip = *traffic[p].voip;
-    table.add_row({"p" + std::to_string(p), fmt("%.3f", util),
+    table.add_row({pod_name(p), fmt("%.3f", util),
                    fmt("%.2f", 100.0 * loss), fmt("%.2f", 1e3 * qdelay),
                    fmt("%.1f", static_cast<double>(ring_mon[p]->tx_bytes()) /
                                    1e6),
@@ -254,10 +260,12 @@ RunResult run_once(unsigned shards, const bench::BenchOptions& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = qoesim::bench::BenchOptions::parse(argc, argv);
+  const unsigned shards = qoesim::bench::shards_flag(argc, argv);
+  const auto opt =
+      qoesim::bench::BenchOptions::parse(argc, argv, {"--shards"});
   std::vector<unsigned> counts;
-  if (opt.shards != 0) {
-    counts = {opt.shards};
+  if (shards != 0) {
+    counts = {shards};
   } else {
     counts = {1, 2, 4, 8};
   }

@@ -169,7 +169,8 @@ void BM_Demux(benchmark::State& state) {
     if (++next == flows) next = 0;
     host.receive(std::move(p));
   }
-  if (*delivered != state.iterations()) state.SkipWithError("demux miss");
+  if (*delivered != static_cast<std::uint64_t>(state.iterations()))
+    state.SkipWithError("demux miss");
   state.SetItemsProcessed(static_cast<int64_t>(*delivered));
 }
 BENCHMARK(BM_Demux)->Arg(64)->Arg(1024)->Arg(4096);

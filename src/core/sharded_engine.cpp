@@ -62,7 +62,7 @@ void ShardedEngine::build() {
   sim_ptrs.reserve(sims_.size());
   for (auto& sim : sims_) sim_ptrs.push_back(sim.get());
 
-  topo_ = std::make_unique<net::ShardedTopology>(
+  topo_ = std::make_unique<net::Topology>(
       spec_, plan_.shard_of, std::move(sim_ptrs), cfg_.node_stats);
   topo_->compute_routes();
 

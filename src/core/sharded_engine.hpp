@@ -68,8 +68,8 @@ class ShardedEngine {
                       net::LinkSpec ba);
 
   /// Partition the declared graph and instantiate one Simulation per
-  /// shard plus the sharded topology; computes global routes. Callable
-  /// once; add_node/connect must not be called afterwards.
+  /// shard plus the topology built from the declarations; computes global
+  /// routes. Callable once; add_node/connect must not be called afterwards.
   void build();
 
   // ---- after build() ------------------------------------------------------
@@ -84,7 +84,7 @@ class ShardedEngine {
   net::Link* link(std::size_t decl, bool forward) {
     return topo_->link(decl, forward);
   }
-  net::ShardedTopology& topology() { return *topo_; }
+  net::Topology& topology() { return *topo_; }
 
   /// Advance every shard to exactly `end` through the epoch/barrier loop,
   /// spawning shard_count-1 worker threads (shard 0 runs on the caller;
@@ -144,7 +144,7 @@ class ShardedEngine {
 
   ShardPlan plan_;
   std::vector<std::unique_ptr<Simulation>> sims_;
-  std::unique_ptr<net::ShardedTopology> topo_;
+  std::unique_ptr<net::Topology> topo_;
   std::unique_ptr<EpochBarrier> barrier_;
   /// Per-shard drain scratch (records merged at one barrier); persists so
   /// steady-state drains allocate nothing.

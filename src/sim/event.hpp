@@ -126,10 +126,10 @@ class QOESIM_SHARD_PLANE Scheduler {
   /// Reserve a FIFO position without scheduling anything. Events that
   /// share a timestamp fire in sequence order, so a component can fix an
   /// event's tie-breaking position now and materialize the event later
-  /// with schedule_at_seq / EventHandle::reschedule(when, seq). The link
-  /// wire ring uses this to collapse per-packet propagation events into
-  /// one delivery event per link while keeping event order exactly as if
-  /// each packet had scheduled its own event.
+  /// with schedule_at_seq. The link wire ring and the PDES mailbox inbox
+  /// use this to collapse per-packet propagation events into one armed
+  /// delivery event per link while keeping event order exactly as if each
+  /// packet had scheduled its own event.
   std::uint64_t allocate_seq() {
     shard_.assert_held();
     return next_seq();

@@ -58,8 +58,9 @@ TEST(Partition, NeverSplitsACluster) {
   const ShardPlan plan = partition(pods(4, 5), 3, kFloor);
   for (std::size_t i = 0; i < plan.shard_of.size(); ++i)
     for (std::size_t j = 0; j < plan.shard_of.size(); ++j)
-      if (plan.cluster_of[i] == plan.cluster_of[j])
+      if (plan.cluster_of[i] == plan.cluster_of[j]) {
         EXPECT_EQ(plan.shard_of[i], plan.shard_of[j]);
+      }
 }
 
 TEST(Partition, QuantumIgnoresAssignment) {
@@ -154,8 +155,9 @@ TEST(Partition, RandomizedInvariants) {
         min_eligible = std::min(min_eligible, e.delay);
       }
       // (c) Anything actually cut must clear the quantum.
-      if (plan.shard_of[e.a] != plan.shard_of[e.b])
+      if (plan.shard_of[e.a] != plan.shard_of[e.b]) {
         EXPECT_GE(e.delay, plan.quantum);
+      }
     }
 
     // (d) Quantum = min over eligible edges, independent of the cut.
@@ -178,8 +180,9 @@ TEST(Partition, RandomizedInvariants) {
     }
     const ShardPlan pinned = partition(g, requested, kFloor, pins);
     for (std::size_t i = 0; i < g.node_count; ++i)
-      if (pins[i] != kUnpinned)
+      if (pins[i] != kUnpinned) {
         EXPECT_EQ(pinned.shard_of[i], static_cast<std::uint32_t>(pins[i]));
+      }
   }
 }
 

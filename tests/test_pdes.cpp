@@ -4,13 +4,15 @@
 // same-timestamp delivery order, transport counters, combined scheduler
 // stats -- must be byte-identical at every shard count. The fuzz tests
 // compare runs against a plain Simulation+Topology reference and against
-// each other under explicit pin maps that force different cuts.
+// each other under explicit pin maps that force different cuts; the
+// access-testbed case is the realistic-shape shard-count gate CI runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/sharded_engine.hpp"
@@ -30,6 +32,15 @@ net::LinkSpec long_link() {
   s.rate_bps = 10e6;
   s.delay = kDelay;
   s.buffer_packets = 64;
+  return s;
+}
+
+// A long link the fuzz traffic below overloads about sixfold, so the queue
+// drops: tail drops for DropTail, early random drops for RED.
+net::LinkSpec overloaded_link(net::QueueKind queue) {
+  net::LinkSpec s = long_link();
+  s.rate_bps = 1e6;
+  s.queue = queue;
   return s;
 }
 
@@ -83,18 +94,25 @@ void schedule_sends(const std::vector<Send>& sends, Simulation& sim_a,
   }
 }
 
-// One engine run of the two-node fuzz scenario; returns the merged
-// delivery logs of both endpoints plus the combined scheduler stats.
-std::pair<std::vector<Delivery>, Scheduler::Stats> run_sharded(
-    const std::vector<Send>& sends, unsigned shards,
-    std::vector<std::int32_t> pins) {
+struct FuzzRun {
+  std::vector<Delivery> log;
+  Scheduler::Stats stats;
+  std::uint64_t dropped = 0;  ///< queue drops, both directions
+};
+
+// One engine run of the two-node fuzz scenario over `link`; returns the
+// merged delivery logs of both endpoints, the combined scheduler stats and
+// the link's queue drops.
+FuzzRun run_sharded(const std::vector<Send>& sends, unsigned shards,
+                    std::vector<std::int32_t> pins,
+                    const net::LinkSpec& link) {
   ShardedEngine::Config cfg;
   cfg.shards = shards;
   cfg.pin = std::move(pins);
   ShardedEngine engine(std::move(cfg));
   const net::NodeId a = engine.add_node("a");
   const net::NodeId b = engine.add_node("b");
-  engine.connect(a, b, long_link(), long_link());
+  engine.connect(a, b, link, link);
   engine.build();
 
   udp::UdpSocket sock_a(engine.node(a), kPort);
@@ -111,20 +129,32 @@ std::pair<std::vector<Delivery>, Scheduler::Stats> run_sharded(
   schedule_sends(sends, sim_a, sim_b, sock_a, sock_b, a, b);
 
   engine.run_until(Time::seconds(2));
-  std::vector<Delivery> log = log_a;
-  log.insert(log.end(), log_b.begin(), log_b.end());
-  return {log, engine.scheduler_stats()};
+  FuzzRun run;
+  run.log = log_a;
+  run.log.insert(run.log.end(), log_b.begin(), log_b.end());
+  run.stats = engine.scheduler_stats();
+  run.dropped = engine.link(0, true)->queue().stats().dropped +
+                engine.link(0, false)->queue().stats().dropped;
+  return run;
 }
 
-TEST(ShardedEngine, MailboxMatchesWireDelivery) {
-  const std::vector<Send> sends = fuzz_sends(11);
+// Parametrized over the queue discipline: with RED, the single-simulation
+// build and the 1-/2-shard builds only drop the same packets if every
+// build derives the same per-link queue seed.
+class ShardedEngineMailbox : public ::testing::TestWithParam<net::QueueKind> {
+};
 
-  // Reference: the ordinary single-scheduler wire path (Link sink).
-  Simulation sim;
+TEST_P(ShardedEngineMailbox, MatchesWireDelivery) {
+  const std::vector<Send> sends = fuzz_sends(11);
+  const net::LinkSpec link = overloaded_link(GetParam());
+
+  // Reference: the ordinary single-scheduler wire path (Link sink), with
+  // the engine's default master seed.
+  Simulation sim(ShardedEngine::Config{}.seed);
   net::Topology topo(sim);
   net::Node& a = topo.add_node("a");
   net::Node& b = topo.add_node("b");
-  topo.connect(a, b, long_link(), long_link());
+  const net::Topology::LinkPair links = topo.connect(a, b, link, link);
   topo.compute_routes();
   udp::UdpSocket sock_a(a, kPort);
   udp::UdpSocket sock_b(b, kPort);
@@ -138,6 +168,9 @@ TEST(ShardedEngine, MailboxMatchesWireDelivery) {
   schedule_sends(sends, sim, sim, sock_a, sock_b, a.id(), b.id());
   sim.scheduler().run_until(Time::seconds(2));
   ASSERT_FALSE(ref.empty());
+  const std::uint64_t ref_dropped = links.forward->queue().stats().dropped +
+                                    links.backward->queue().stats().dropped;
+  ASSERT_GT(ref_dropped, 0u);  // the overload really exercises the queue
 
   // The engine mailboxes the link at every shard count (discipline follows
   // the link delay, not the cut), so both variants must reproduce the
@@ -150,20 +183,29 @@ TEST(ShardedEngine, MailboxMatchesWireDelivery) {
       if (d.src == from) out.push_back(d);
     return out;
   };
-  const auto [one, stats_one] = run_sharded(sends, 1, {});
-  const auto [two, stats_two] = run_sharded(sends, 2, {0, 1});
+  const FuzzRun one = run_sharded(sends, 1, {}, link);
+  const FuzzRun two = run_sharded(sends, 2, {0, 1}, link);
   for (const net::NodeId from : {net::NodeId{0}, net::NodeId{1}}) {
-    EXPECT_EQ(split(one, from), split(ref, from));
-    EXPECT_EQ(split(two, from), split(ref, from));
+    EXPECT_EQ(split(one.log, from), split(ref, from));
+    EXPECT_EQ(split(two.log, from), split(ref, from));
   }
+  EXPECT_EQ(one.dropped, ref_dropped);
+  EXPECT_EQ(two.dropped, ref_dropped);
 
   // Combined engine counters are part of the determinism contract too
   // (the bench prints them on stdout).
-  EXPECT_EQ(stats_one.fired, stats_two.fired);
-  EXPECT_EQ(stats_one.scheduled, stats_two.scheduled);
-  EXPECT_EQ(stats_one.cancelled, stats_two.cancelled);
-  EXPECT_EQ(stats_one.peak_queue_depth, stats_two.peak_queue_depth);
+  EXPECT_EQ(one.stats.fired, two.stats.fired);
+  EXPECT_EQ(one.stats.scheduled, two.stats.scheduled);
+  EXPECT_EQ(one.stats.cancelled, two.stats.cancelled);
+  EXPECT_EQ(one.stats.peak_queue_depth, two.stats.peak_queue_depth);
 }
+
+INSTANTIATE_TEST_SUITE_P(Queues, ShardedEngineMailbox,
+                         ::testing::Values(net::QueueKind::kDropTail,
+                                           net::QueueKind::kRed),
+                         [](const auto& info) {
+                           return std::string(net::to_string(info.param));
+                         });
 
 // Four leaves firing datagrams that arrive at the hub at identical
 // timestamps: the delivery order among those ties must not depend on the
@@ -269,12 +311,138 @@ TEST(ShardedEngine, TcpAcrossShardsInvariant) {
   EXPECT_EQ(three.peak, one.peak);
 }
 
+// The access testbed's shape (core/testbed.cpp) on the engine: two
+// servers on 20 ms host links into the DSLAM, the 100 us DSLAM/home-router
+// DSL pair (one short-link cluster), and two clients on 5 ms links behind
+// the home router. Every host link clears the 1 ms floor, so pins can
+// move the hosts off the DSL cluster's shard and cut every host link. A
+// bulk TCP download saturates the 16 Mbit/s DSL downlink (and loses
+// packets to its small RED buffer), a bulk upload the 1 Mbit/s uplink,
+// and a VoIP-like UDP probe rides the loaded downlink: every observable
+// must match the single-shard run.
+TEST(ShardedEngine, AccessTestbedShardInvariant) {
+  struct Outcome {
+    std::uint32_t shards = 0;
+    std::size_t cut_links = 0;
+    std::vector<Delivery> probe;
+    std::vector<std::uint64_t> tcp;  ///< download + upload TcpStats fields
+    Scheduler::Stats sched;
+  };
+  auto run = [](unsigned shards, std::vector<std::int32_t> pins) {
+    ShardedEngine::Config cfg;
+    cfg.shards = shards;
+    cfg.pin = std::move(pins);
+    ShardedEngine engine(std::move(cfg));
+    const net::NodeId dslam = engine.add_node("dslam");
+    const net::NodeId home = engine.add_node("home-router");
+    net::LinkSpec down;
+    down.rate_bps = 16e6;
+    down.delay = Time::microseconds(100);
+    down.buffer_packets = 32;
+    down.queue = net::QueueKind::kRed;
+    net::LinkSpec up = down;
+    up.rate_bps = 1e6;
+    engine.connect(dslam, home, down, up);
+    net::LinkSpec host;
+    host.rate_bps = 1e9;
+    host.delay = Time::milliseconds(20);
+    host.buffer_packets = 1024;
+    net::LinkSpec access = host;
+    access.delay = Time::milliseconds(5);
+    std::vector<net::NodeId> servers, clients;
+    for (int i = 0; i < 2; ++i) {
+      servers.push_back(engine.add_node("server" + std::to_string(i)));
+      engine.connect(servers.back(), dslam, host, host);
+      clients.push_back(engine.add_node("client" + std::to_string(i)));
+      engine.connect(home, clients.back(), access, access);
+    }
+    engine.build();
+
+    // Download server0 -> client0, upload client1 -> server1. Each accept
+    // callback runs on its server's shard and writes only its own vector.
+    std::vector<std::shared_ptr<tcp::TcpSocket>> down_acc, up_acc;
+    tcp::TcpServer down_srv(engine.node(servers[0]), 80, {},
+                            [&down_acc](std::shared_ptr<tcp::TcpSocket> s) {
+                              s->send(20'000'000);
+                              down_acc.push_back(std::move(s));
+                            });
+    tcp::TcpServer up_srv(engine.node(servers[1]), 80, {},
+                          [&up_acc](std::shared_ptr<tcp::TcpSocket> s) {
+                            up_acc.push_back(std::move(s));
+                          });
+    auto down_cli = tcp::TcpSocket::connect(engine.node(clients[0]),
+                                            servers[0], 80);
+    auto up_cli = tcp::TcpSocket::connect(engine.node(clients[1]),
+                                          servers[1], 80);
+    up_cli->send(1'000'000);
+
+    // UDP probe server1 -> client1: 200 B every 20 ms.
+    udp::UdpSocket probe_tx(engine.node(servers[1]));
+    udp::UdpSocket probe_rx(engine.node(clients[1]), kPort);
+    Outcome out;
+    Simulation& rx_sim = engine.sim_of(clients[1]);
+    probe_rx.set_receive([&out, &rx_sim](net::Packet&& p) {
+      out.probe.push_back({rx_sim.now().ns(), p.src, p.app.seq, p.size_bytes});
+    });
+    const net::NodeId probe_dst = clients[1];
+    for (std::uint32_t i = 0; i < 200; ++i) {
+      engine.sim_of(servers[1]).at(
+          Time::milliseconds(100 + 20 * i), [&probe_tx, probe_dst, i] {
+            net::AppTag tag;
+            tag.seq = i;
+            probe_tx.send_to(probe_dst, kPort, 200, tag);
+          });
+    }
+    engine.run_until(Time::seconds(5));
+
+    out.shards = engine.shard_count();
+    for (const auto& c : engine.topology().crossings())
+      if (c.src_shard != c.dst_shard) ++out.cut_links;
+    const tcp::TcpStats& dl = down_cli->stats();
+    const tcp::TcpStats& ds = down_acc.at(0)->stats();
+    const tcp::TcpStats& us = up_cli->stats();
+    const tcp::TcpStats& ur = up_acc.at(0)->stats();
+    out.tcp = {dl.bytes_received, dl.segments_sent,  ds.segments_sent,
+               ds.retransmits,    ds.timeouts,       ds.tlp_probes,
+               ds.bytes_acked,    us.bytes_acked,    us.segments_sent,
+               us.retransmits,    ur.bytes_received, ur.segments_sent};
+    out.sched = engine.scheduler_stats();
+    return out;
+  };
+
+  // Nodes: dslam, home-router, server0, client0, server1, client1. The
+  // DSL cluster sits off shard 0, so its RED lottery runs on a shard
+  // Simulation other than the first one.
+  const Outcome one = run(1, {});
+  const Outcome two = run(2, {1, 1, 0, 0, 0, 0});
+  const Outcome four = run(4, {1, 1, 2, 3, 0, 2});
+  EXPECT_EQ(one.cut_links, 0u);
+  EXPECT_EQ(two.shards, 2u);
+  EXPECT_EQ(two.cut_links, 8u);  // all four host links, both directions
+  EXPECT_EQ(four.shards, 4u);
+  EXPECT_EQ(four.cut_links, 8u);
+
+  EXPECT_EQ(one.probe.size(), 200u);  // the probe ran end to end
+  EXPECT_GT(one.tcp[0], 1'000'000u);  // the download moved real data
+  EXPECT_GT(one.tcp[3], 0u);          // ...and lost some at the DSL queue
+  for (const Outcome* o : {&two, &four}) {
+    EXPECT_EQ(o->probe, one.probe) << o->shards << " shards";
+    EXPECT_EQ(o->tcp, one.tcp) << o->shards << " shards";
+    EXPECT_EQ(o->sched.fired, one.sched.fired);
+    EXPECT_EQ(o->sched.scheduled, one.sched.scheduled);
+    EXPECT_EQ(o->sched.cancelled, one.sched.cancelled);
+    EXPECT_EQ(o->sched.rescheduled, one.sched.rescheduled);
+    EXPECT_EQ(o->sched.peak_queue_depth, one.sched.peak_queue_depth);
+  }
+}
+
 TEST(ShardedEngine, ValidatesConfiguration) {
-  EXPECT_THROW(ShardedEngine(ShardedEngine::Config{.shards = 0}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      ShardedEngine(ShardedEngine::Config{.lookahead_floor = Time::zero()}),
-      std::invalid_argument);
+  ShardedEngine::Config no_shards;
+  no_shards.shards = 0;
+  EXPECT_THROW((void)ShardedEngine(no_shards), std::invalid_argument);
+  ShardedEngine::Config zero_floor;
+  zero_floor.lookahead_floor = Time::zero();
+  EXPECT_THROW((void)ShardedEngine(zero_floor), std::invalid_argument);
 
   ShardedEngine::Config cfg;
   cfg.shards = 2;

@@ -173,7 +173,9 @@ TEST(IntervalSet, FuzzMergeAgainstByteSetReference) {
       ASSERT_GE(hole, pos) << "step " << step;
       // hole_end is meaningful only for holes below the high-water mark;
       // callers check hole >= high() first (retransmit_next_hole).
-      if (hole < set.high()) ASSERT_LE(hole, hole_end) << "step " << step;
+      if (hole < set.high()) {
+        ASSERT_LE(hole, hole_end) << "step " << step;
+      }
     }
   }
 }
@@ -351,8 +353,9 @@ TEST(TcpLifetime, BindingPinsSocketTheAppDropped) {
   testutil::PairNet net;
   auto server = testutil::make_sink(*net.b, 80);
   bool closed = false;
-  auto sock = tcp::TcpSocket::connect(
-      *net.a, 1, 80, {}, {.on_closed = [&closed] { closed = true; }});
+  tcp::TcpSocket::Callbacks callbacks;
+  callbacks.on_closed = [&closed] { closed = true; };
+  auto sock = tcp::TcpSocket::connect(*net.a, 1, 80, {}, callbacks);
   sock->send(50 * 1460);
   sock->close();
   const void* slot = sock.get();
